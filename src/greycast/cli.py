@@ -29,6 +29,7 @@ from .rolling import (
     RollingConfig,
     calibrate_omega,
     parse_model,
+    resolve_config,
     roll_forecast,
 )
 
@@ -129,16 +130,8 @@ def _write(text: str, path: Optional[str]) -> None:
 
 
 def _cmd_forecast(args) -> int:
-    specs = load_config(args.config)
-    config = _rolling_config(args, args.model)
-    config = replace(config, multi_step=args.steps)
-    kind, _, bench = parse_model(args.model)
-    if bench is not None:
-        spec = {"LINEAR": specs.linear, "ARIMA": specs.arima,
-                "SARIMA": specs.sarima, "SETAR": specs.setar}[bench]
-        config = replace(config, benchmark_spec=spec)
-    elif config.omega is None and kind in specs.omega:
-        config = replace(config, omega=specs.omega[kind])
+    config = replace(_rolling_config(args, args.model), multi_step=args.steps)
+    config = resolve_config(config, load_config(args.config))
     dataset = ingest_csv(args.input)
     trace = roll_forecast(dataset.series[0], config)
     text = format_trace_csv([trace], [dataset.series[0].label])

@@ -1,18 +1,22 @@
 """Plain-text (INI) configuration for benchmark fixtures and frequencies.
 
-A packaged ``defaults.cfg`` ships the standard coefficient sets; a user config
-file overrides sections or individual keys.
+A packaged ``defaults.cfg`` ships the standard coefficient sets, and the
+default frequencies are ``models.DEFAULT_OMEGA``; a user config file
+overrides sections or individual keys, ``[omega]`` included. The packaged
+configuration is parsed once per process and cannot be modified.
 """
 from __future__ import annotations
 
 import configparser
+import functools
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .benchmarks import ArimaSpec, LinearSpec, SetarSpec
 from .errors import InvalidInputError
-from .models import ModelKind
+from .models import DEFAULT_OMEGA, ModelKind
 
 
 def _floats(raw: str):
@@ -25,7 +29,11 @@ class BenchmarkConfig:
     arima: ArimaSpec
     sarima: ArimaSpec
     setar: SetarSpec
-    omega: Dict[ModelKind, float]
+    omega: Mapping[ModelKind, float]  # read-only
+
+    def spec(self, name: str):
+        """The coefficients of benchmark ``name`` (LINEAR, ARIMA, SARIMA or SETAR)."""
+        return getattr(self, name.lower())
 
 
 def _parser_with_defaults(path: Optional[str] = None) -> configparser.ConfigParser:
@@ -44,6 +52,18 @@ def _parser_with_defaults(path: Optional[str] = None) -> configparser.ConfigPars
 
 
 def load_config(path: Optional[str] = None) -> BenchmarkConfig:
+    """The packaged configuration, overridden by the file at ``path`` if given."""
+    if path is None:
+        return _packaged_config()
+    return _parse(path)
+
+
+@functools.lru_cache(maxsize=None)
+def _packaged_config() -> BenchmarkConfig:
+    return _parse(None)
+
+
+def _parse(path: Optional[str]) -> BenchmarkConfig:
     parser = _parser_with_defaults(path)
     try:
         lin = parser["linear"]
@@ -59,13 +79,14 @@ def load_config(path: Optional[str] = None) -> BenchmarkConfig:
                           high_coeffs=_floats(st["high_coeffs"]),
                           threshold=st.getfloat("threshold"),
                           delay=st.getint("delay", 0))
-        omega = {kind: parser["omega"].getfloat(kind.value)
-                 for kind in (ModelKind.GM_S, ModelKind.GM_C,
-                              ModelKind.GM_SC, ModelKind.GM_ESC)}
+        omega = dict(DEFAULT_OMEGA)
+        if parser.has_section("omega"):
+            for kind in omega:
+                omega[kind] = parser["omega"].getfloat(kind.value, omega[kind])
     except (KeyError, ValueError) as exc:
         raise InvalidInputError(f"bad config value: {exc}") from exc
     return BenchmarkConfig(linear=linear, arima=arima, sarima=sarima,
-                           setar=setar, omega=omega)
+                           setar=setar, omega=MappingProxyType(omega))
 
 
 def _arima_from(section) -> ArimaSpec:

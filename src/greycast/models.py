@@ -12,23 +12,37 @@ mix integration constants or drop factors of ``a`` in exponents).
 
 Time is the within-window index: each window restarts at k = 1..w, and the
 trigonometric regressors use sin(omega*k)/cos(omega*k) at those local indices.
+
+Every fit and closed form is written once, over a stack of N equal-length
+windows of one model kind: ``fit_windows``, ``forecast_windows`` and
+``fitted_windows``, which the rolling engine calls once per roll. A window
+that cannot be fit or forecast gets the error its one-window call raises, at
+the same point. ``fit_model``, ``forecast``, ``forecast_gm11``,
+``forecast_gvm``, ``forecast_trig``, ``accumulated_response`` and
+``fitted_values`` are the one-window case: they evaluate a stack of one.
+
+The trigonometric family shares GM_SC's closed form: GM_S and GM_C are GM_SC
+with the unused trig coefficient 0, and GM_ESC damps the same two terms by
+e^(-a t). GM(1,1)'s accumulated response is GM_SC with both coefficients 0.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import (
+    GreycastError,
     InsufficientDataError,
     InvalidInputError,
     NumericalDegeneracyError,
 )
-from .lstsq import LeastSquaresProblem, solve_least_squares
-from .series import Series, accumulate, mean_sequence
+from .lstsq import singular_error, solve_stacked
+from .series import Series
 
 # Below this magnitude the development coefficient is treated as exactly zero
 # and the a->0 limit of each closed form is used (b/a pole otherwise).
@@ -49,23 +63,16 @@ class ModelKind(enum.Enum):
 
 TRIG_KINDS = (ModelKind.GM_S, ModelKind.GM_C, ModelKind.GM_SC, ModelKind.GM_ESC)
 
-#: Grid-searched default angular frequencies (radians per time step).
-DEFAULT_OMEGA = {
+#: Grid-searched default angular frequencies (radians per time step). The
+#: packaged configuration takes its ``[omega]`` defaults from here.
+DEFAULT_OMEGA = MappingProxyType({
     ModelKind.GM_S: 4.30,
     ModelKind.GM_C: 2.65,
     ModelKind.GM_SC: 9.30,
     ModelKind.GM_ESC: 74.10,
-}
+})
 
-#: Display names and their error-corrected counterparts.
-SHORT_NAME = {
-    ModelKind.GM11: "GM(1,1)",
-    ModelKind.GVM: "GVM",
-    ModelKind.GM_S: "GM_S",
-    ModelKind.GM_C: "GM_C",
-    ModelKind.GM_SC: "GM_SC",
-    ModelKind.GM_ESC: "GM_ESC",
-}
+#: Error-corrected counterparts of the model names.
 EF_NAME = {
     ModelKind.GM11: "EFGM",
     ModelKind.GVM: "EFGVM",
@@ -107,242 +114,439 @@ class GreyFit:
     window_len: int = 4
 
 
-def _window_values(window) -> np.ndarray:
-    values = window.values if isinstance(window, Series) else np.asarray(window, float)
-    if values.size < 4:
-        raise InsufficientDataError(f"window of {values.size} < 4 observations")
-    if not np.isfinite(values).all():
-        raise InvalidInputError("window contains non-finite values")
-    if (values < 0).any():
-        idx = int(np.flatnonzero(values < 0)[0])
-        raise InvalidInputError(f"negative value at window index {idx}")
-    return values
+class Failures:
+    """The first error of each window of a stack.
+
+    Checks are added in the order the one-window code makes them, and a window
+    keeps the first error it gets. ``overflows`` holds the windows whose error
+    is an overflowing exponential (``math.exp`` raising ``OverflowError``).
+    """
+
+    __slots__ = ("failed", "errors", "overflows")
+
+    def __init__(self, count: int):
+        self.failed = np.zeros(count, dtype=bool)
+        self.errors: Dict[int, GreycastError] = {}
+        self.overflows: set = set()
+
+    def add(self, where: np.ndarray, error: Callable[[int], GreycastError],
+            overflow: bool = False) -> None:
+        """Give ``error(i)`` to each window i in ``where`` that has none yet."""
+        if not where.any():
+            return
+        new = where & ~self.failed
+        for i in np.flatnonzero(new).tolist():
+            self.errors[i] = error(i)
+            if overflow:
+                self.overflows.add(i)
+        self.failed |= new
+
+    def add_all(self, error: Callable[[int], GreycastError]) -> None:
+        self.add(np.ones(self.failed.size, dtype=bool), error)
+
+    def raise_first(self, overflow_error: bool = False) -> None:
+        """Raise the error of window 0 (the one-window case), if it has one;
+        with ``overflow_error``, an overflow as an ``OverflowError``."""
+        if self.errors:
+            if overflow_error and 0 in self.overflows:
+                raise OverflowError("math range error")
+            raise self.errors[0]
 
 
-def _grey_design(values: np.ndarray):
-    """Mean sequence z1 and targets x0(2..w) for the basic-form regression."""
-    acc = accumulate(Series(values, label="window"))
-    z = mean_sequence(acc).values
-    return z, values[1:]
+class WindowFits(NamedTuple):
+    """One model kind fitted on each window of a stack of N windows.
+
+    Trigonometric coefficients are in GM_SC form: ``bs`` multiplies
+    sin(omega t) and ``bc`` cos(omega t) (both damped by e^(-a t) for GM_ESC),
+    and ``b`` is the constant forcing; a coefficient the kind lacks is 0. For
+    GM11 ``b`` is the grey input and for GVM the Verhulst coefficient, and
+    ``omega`` is None. Each parameter is an (N,) array; those of a window
+    in ``failures`` are not meaningful.
+    """
+
+    kind: ModelKind
+    a: np.ndarray
+    b: np.ndarray
+    bs: np.ndarray
+    bc: np.ndarray
+    x0_1: np.ndarray
+    omega: Optional[float]
+    window_len: int
+    failures: Failures
 
 
-def fit_gm11(window) -> GreyFit:
-    """Least-squares fit of x0(k) + a*z1(k) = b."""
-    values = _window_values(window)
-    z, y = _grey_design(values)
-    design = np.column_stack([-z, np.ones_like(z)])
-    a, b = solve_least_squares(LeastSquaresProblem(design, y))
-    return GreyFit(ModelKind.GM11, a=float(a), b=float(b), x0_1=float(values[0]),
-                   window_len=int(values.size))
+#: The trigonometric regressors of the jointly fitted kinds, in design order.
+_TRIG_COLUMNS = {ModelKind.GM_S: (np.sin,), ModelKind.GM_C: (np.cos,),
+                 ModelKind.GM_SC: (np.sin, np.cos)}
 
 
-def forecast_gm11(fit: GreyFit, k: int) -> float:
-    """One-step forecast x0hat(k+1) = (1 - e^a)(x0(1) - b/a) e^(-a k)."""
-    a, b = fit.a, fit.b
-    if abs(a) <= DEGENERATE_A:
-        return float(b)
-    return float((1.0 - math.exp(a)) * (fit.x0_1 - b / a) * math.exp(-a * k))
+def _overflow_error(kind: ModelKind, a: np.ndarray) -> Callable[[int], GreycastError]:
+    return lambda i: NumericalDegeneracyError(
+        f"{kind.value} closed form overflowed (a={float(a[i]):.3g})")
 
 
-def fit_gvm(window) -> GreyFit:
-    """Verhulst fit: x0(k) + a*z1(k) = b*z1(k)^2, values strictly positive."""
-    values = _window_values(window)
-    if (values <= 0).any():
-        idx = int(np.flatnonzero(values <= 0)[0])
-        raise InvalidInputError(f"Verhulst fit needs strictly positive values "
-                                f"(index {idx})")
-    z, y = _grey_design(values)
-    design = np.column_stack([-z, z * z])
-    a, b = solve_least_squares(LeastSquaresProblem(design, y))
-    return GreyFit(ModelKind.GVM, a=float(a), b=float(b), x0_1=float(values[0]),
-                   window_len=int(values.size))
+def _overflowed(args: np.ndarray) -> np.ndarray:
+    """Rows where some e^arg overflows, as ``math.exp(arg)`` would raise."""
+    e = np.exp(args)
+    return (np.isinf(e) & np.isfinite(args)).any(axis=1)
 
 
-def forecast_gvm(fit: GreyFit, k: int) -> float:
+def _solve(fails: Failures, system: np.ndarray) -> np.ndarray:
+    """Solve each window's (m, p) system, stored with its targets as column p.
+
+    Reports what ``LeastSquaresProblem`` and ``solve_least_squares`` raise for
+    one window and skips the windows that have failed; returns the (p, N)
+    parameters.
+    """
+    n, m, cols = system.shape
+    p = cols - 1
+    if m < p:
+        fails.add_all(lambda i: InsufficientDataError(
+            f"underdetermined system: {m} rows < {p} columns"))
+    if not np.isfinite(system).all():
+        fails.add(~np.isfinite(system).all(axis=(1, 2)),
+                  lambda i: InvalidInputError("least-squares entries must be finite"))
+    if not fails.errors:
+        result = solve_stacked(system[..., :p], system[..., p])
+        fails.add(result.rejected, lambda i: singular_error(float(result.condition[i])))
+        return result.solutions.T.copy()
+    params = np.full((p, n), np.nan)
+    rows = np.flatnonzero(~fails.failed)
+    if rows.size:
+        result = solve_stacked(system[rows, :, :p], system[rows, :, p])
+        params[:, rows] = result.solutions.T
+        rejected = np.zeros(n, dtype=bool)
+        rejected[rows] = result.rejected
+        condition = dict(zip(rows.tolist(), result.condition.tolist()))
+        fails.add(rejected, lambda i: singular_error(condition[i]))
+    return params
+
+
+def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> WindowFits:
+    """Fit ``kind`` on every row of the (N, w) array ``windows`` at once.
+
+    GM11 and GVM solve x0(k) + a*z1(k) = b and = b*z1(k)^2; GM_S, GM_C and
+    GM_SC regress jointly on sin(omega k) / cos(omega k) and a constant.
+    GM_ESC is two-stage: stage 1 estimates (a, b) with the GM(1,1) design and
+    stage 2 regresses its residuals on e^(-k a) sin(omega k) and
+    e^(-k a) cos(omega k). ``omega`` defaults to ``DEFAULT_OMEGA``.
+
+    Like the other stack functions it reports overflow and invalid values
+    through numpy's error state; the errors it cares about are in the
+    returned ``failures``.
+    """
+    x = np.asarray(windows, dtype=float)
+    n, w = x.shape
+    fails = Failures(n)
+    freq = None
+    if kind in TRIG_KINDS:
+        freq = DEFAULT_OMEGA[kind] if omega is None else float(omega)
+        if not freq > 0:
+            fails.add_all(lambda i: InvalidInputError("omega must be positive"))
+    if w < 4:
+        fails.add_all(lambda i: InsufficientDataError(f"window of {w} < 4 observations"))
+    elif n and not (x.min() >= 0.0 and x.max() < np.inf):
+        fails.add(~np.isfinite(x).all(axis=1),
+                  lambda i: InvalidInputError("window contains non-finite values"))
+        negative = x < 0
+        fails.add(negative.any(axis=1), lambda i: InvalidInputError(
+            f"negative value at window index {int(np.argmax(negative[i]))}"))
+    if w < MIN_WINDOW[kind]:
+        fails.add_all(lambda i: InsufficientDataError(
+            f"{kind.value} needs a window of at least {MIN_WINDOW[kind]}"))
+    if kind is ModelKind.GVM and n and not x.min() > 0.0:
+        nonpositive = x <= 0
+        fails.add(nonpositive.any(axis=1), lambda i: InvalidInputError(
+            "Verhulst fit needs strictly positive values "
+            f"(index {int(np.argmax(nonpositive[i]))})"))
+    if fails.errors and fails.failed.all():
+        nan = np.full(n, np.nan)
+        return WindowFits(kind, nan, nan, nan, nan, nan, freq, w, fails)
+    x1 = np.add.accumulate(x, axis=1)
+    z = (x1[:, :-1] + x1[:, 1:]) / 2.0
+    k = np.arange(2, w + 1, dtype=float)
+    # Design columns, then the targets x0(2..w) as the last column.
+    trig = _TRIG_COLUMNS.get(kind, ())
+    system = np.empty((n, w - 1, 3 + len(trig)))
+    np.negative(z, out=system[..., 0])
+    if kind is ModelKind.GVM:
+        np.multiply(z, z, out=system[..., 1])
+    else:
+        for col, fn in enumerate(trig, start=1):
+            system[..., col] = fn(freq * k)
+        system[..., 1 + len(trig)] = 1.0
+    system[..., -1] = x[:, 1:]
+    params = _solve(fails, system)
+    a, b = params[0], params[-1]
+    bs = bc = np.zeros(n)
+    if kind is ModelKind.GM_S:
+        bs = params[1]
+    elif kind is ModelKind.GM_C:
+        bc = params[1]
+    elif kind is ModelKind.GM_SC:
+        bs, bc = params[1], params[2]
+    elif kind is ModelKind.GM_ESC:
+        bs, bc = _esc_stage_two(fails, a, b, z, x[:, 1:], k, freq)
+    return WindowFits(kind, a, b, bs, bc, x[:, 0], freq, w, fails)
+
+
+def _esc_stage_two(fails: Failures, a, b, z, y, k, omega: float):
+    residuals = y + a[:, None] * z - b[:, None]
+    damp = np.exp(-a[:, None] * k)
+    if not (damp.min() >= 1e-250 and damp.max() < np.inf):
+        fails.add(~np.isfinite(damp).all(axis=1) | (np.abs(damp).max(axis=1) < 1e-250),
+                  lambda i: NumericalDegeneracyError(
+                      "stage-2 design degenerate: e^(-k a) underflowed or overflowed"))
+    system = np.empty(damp.shape + (3,))
+    np.multiply(damp, np.sin(omega * k), out=system[..., 0])
+    np.multiply(damp, np.cos(omega * k), out=system[..., 1])
+    system[..., 2] = residuals
+    return _solve(fails, system)
+
+
+# -- closed forms, each written once over arrays -------------------------------
+
+def _gm11(fits: WindowFits, k) -> np.ndarray:
+    """x0hat(k+1) = (1 - e^a)(x0(1) - b/a) e^(-a k), or b when a is degenerate.
+
+    ``k`` is a local index, or a row of them (one output column each).
+    """
+    a, b, x0 = fits.a, fits.b, fits.x0_1
+    if isinstance(k, np.ndarray):
+        a, b, x0 = a[:, None], b[:, None], x0[:, None]
+    value = np.where(np.abs(a) <= DEGENERATE_A, b,
+                     (1.0 - np.exp(a)) * (x0 - b / a) * np.exp(-a * k))
+    if not np.isfinite(value).all():
+        # An overflowing exponential leaves the forecast non-finite.
+        args = np.column_stack([fits.a, (-a * k).reshape(fits.a.size, -1)])
+        bad = ~np.isfinite(value).reshape(fits.a.size, -1).all(axis=1)
+        fits.failures.add(bad & (np.abs(fits.a) > DEGENERATE_A) & _overflowed(args),
+                          _overflow_error(fits.kind, fits.a), overflow=True)
+    return value
+
+
+def _gvm(fits: WindowFits, k: int) -> np.ndarray:
     """Verhulst forecast in its classic product form.
 
     The two denominators b*x0(1) + (a - b*x0(1))*e^(a(k-1)) and the (k-2)
     sibling must stay away from zero.
     """
-    a, b, x1 = fit.a, fit.b, fit.x0_1
-    bx = b * x1
-    d1 = bx + (a - bx) * math.exp(a * (k - 1))
-    d2 = bx + (a - bx) * math.exp(a * (k - 2))
-    if abs(d1) <= GVM_DENOM_FLOOR:
-        raise NumericalDegeneracyError("Verhulst forecast: e^(a(k-1)) denominator vanished")
-    if abs(d2) <= GVM_DENOM_FLOOR:
-        raise NumericalDegeneracyError("Verhulst forecast: e^(a(k-2)) denominator vanished")
-    first = a * x1 * (a - bx) / d1
-    second = (1.0 - math.exp(a)) * math.exp(a * (k - 2)) / d2
-    return float(first * second)
+    a, x1, fails = fits.a, fits.x0_1, fits.failures
+    bx = fits.b * x1
+    args = a[:, None] * np.array([k - 1.0, k - 2.0, 1.0])
+    e = np.exp(args)  # e^(a(k-1)), e^(a(k-2)), e^a
+    d = bx[:, None] + (a - bx)[:, None] * e[:, :2]
+    value = (a * x1 * (a - bx) / d[:, 0]) * ((1.0 - e[:, 2]) * e[:, 1] / d[:, 1])
+    if not (np.isfinite(e).all() and (np.abs(d) > GVM_DENOM_FLOOR).all()):
+        # The checks of the one-window code, in its order.
+        fails.add(_overflowed(args[:, :2]), _overflow_error(fits.kind, a), overflow=True)
+        fails.add(np.abs(d[:, 0]) <= GVM_DENOM_FLOOR, lambda i: NumericalDegeneracyError(
+            "Verhulst forecast: e^(a(k-1)) denominator vanished"))
+        fails.add(np.abs(d[:, 1]) <= GVM_DENOM_FLOOR, lambda i: NumericalDegeneracyError(
+            "Verhulst forecast: e^(a(k-2)) denominator vanished"))
+        fails.add(_overflowed(args[:, 2:]), _overflow_error(fits.kind, a), overflow=True)
+    return value
 
 
-def _particular(fit: GreyFit, t: float) -> float:
-    """Particular solution of the whitenization ODE at continuous time t."""
-    a, w = fit.a, fit.omega
-    s, c = math.sin(w * t), math.cos(w * t)
-    norm = a * a + w * w
-    if fit.kind is ModelKind.GM_S:
-        return fit.b1 * (a * s - w * c) / norm + fit.b2 / a
-    if fit.kind is ModelKind.GM_C:
-        return fit.b1 * (a * c + w * s) / norm + fit.b2 / a
-    if fit.kind is ModelKind.GM_SC:
-        return ((a * fit.b2 - fit.b1 * w) * c + (a * fit.b1 + fit.b2 * w) * s) / norm \
-            + fit.b3 / a
-    if fit.kind is ModelKind.GM_ESC:
-        return math.exp(-a * t) * (fit.b2 * s - fit.b1 * c) / w + fit.b3 / a
-    raise InvalidInputError(f"no trigonometric particular solution for {fit.kind}")
+def _particular(fits: WindowFits, t: np.ndarray) -> np.ndarray:
+    """Particular solution of the whitenization ODE at continuous times t."""
+    a, b, bs, bc = fits.a[:, None], fits.b[:, None], fits.bs[:, None], fits.bc[:, None]
+    w = fits.omega
+    s, c = np.sin(w * t), np.cos(w * t)
+    if fits.kind is ModelKind.GM_ESC:
+        return np.exp(-a * t) * (bc * s - bs * c) / w + b / a
+    return ((a * bc - bs * w) * c + (a * bs + bc * w) * s) / (a * a + w * w) + b / a
 
 
-def _accumulated_degenerate(fit: GreyFit, t: float) -> float:
-    """a -> 0 limit: integrate the forcing directly from t=1."""
-    w = fit.omega
-    if fit.kind is ModelKind.GM11:
-        return fit.x0_1 + fit.b * (t - 1.0)
-    if fit.kind is ModelKind.GM_S:
-        drift, b1, b2 = fit.b2, fit.b1, 0.0
+def _accumulated(fits: WindowFits, t: np.ndarray) -> np.ndarray:
+    """Closed-form accumulated response x1hat(t), with x1hat(1) = x0(1).
+
+    Rows are windows and columns the times ``t``, of which the first must be
+    1. A window whose exponential overflows is reported to ``fits.failures``.
+    """
+    a, x0 = fits.a[:, None], fits.x0_1[:, None]
+    p = _particular(fits, t)
+    value = (x0 - p[:, :1]) * np.exp(-a * (t - 1.0)) + p
+    degenerate = np.abs(fits.a) <= DEGENERATE_A
+    if degenerate.any():
+        # a -> 0 limit: integrate the forcing directly from t=1.
+        w = fits.omega
+        bs, bc = fits.bs[:, None], fits.bc[:, None]
+        trig = (bs * (math.cos(w) - np.cos(w * t)) + bc * (np.sin(w * t) - math.sin(w))) / w
+        limit = x0 + fits.b[:, None] * (t - 1.0) + trig
+        value = np.where(degenerate[:, None], limit, value)
+    if not np.isfinite(value).all():
+        # An overflowing exponential leaves the response non-finite.
+        args = -a * (t - 1.0)
+        if fits.kind is ModelKind.GM_ESC:
+            args = np.column_stack([args, -a * t])
+        bad = ~np.isfinite(value).all(axis=1) & ~degenerate
+        fits.failures.add(bad & _overflowed(args), _overflow_error(fits.kind, fits.a),
+                          overflow=True)
+    return value
+
+
+def forecast_windows(fits: WindowFits, steps_ahead: int = 1) -> np.ndarray:
+    """``steps_ahead`` forecast past every window, without refitting.
+
+    The within-window clock runs k = 1..w, so the first out-of-window value
+    lives at local index w + 1. Errors go to ``fits.failures``.
+    """
+    if steps_ahead < 1:
+        fits.failures.add_all(lambda i: InvalidInputError("steps_ahead must be >= 1"))
+        return np.full(fits.a.size, np.nan)
+    k = fits.window_len + steps_ahead - 1
+    if fits.kind is ModelKind.GM11:
+        return _gm11(fits, k)
+    if fits.kind is ModelKind.GVM:
+        # The product form is indexed one step early relative to the other
+        # models; k+1 pairs its leading denominator with the latest
+        # accumulated value.
+        return _gvm(fits, k + 1)
+    acc = _accumulated(fits, np.array([1.0, k, k + 1.0]))
+    return acc[:, 2] - acc[:, 1]
+
+
+def fitted_windows(fits: WindowFits) -> np.ndarray:
+    """In-window one-step fitted values for local indices k = 2..w, (N, w-1)."""
+    w = fits.window_len
+    if fits.kind is ModelKind.GM11:
+        return _gm11(fits, np.arange(1, w))
+    if fits.kind is ModelKind.GVM:
+        return np.column_stack([_gvm(fits, k) for k in range(2, w + 1)])
+    acc = _accumulated(fits, np.arange(1.0, w + 1.0))
+    return acc[:, 1:] - acc[:, :-1]
+
+
+# -- the one-window case --------------------------------------------------------
+
+def _window_values(window) -> np.ndarray:
+    values = window.values if isinstance(window, Series) else np.asarray(window, float)
+    return values.reshape(1, -1)
+
+
+def _stack_of_one(fit: GreyFit) -> WindowFits:
+    """A GreyFit as a stack of one window, trig coefficients in GM_SC form.
+
+    GM11 and GVM have no trig terms; their frequency is set to 1, which
+    makes GM11's accumulated response GM_SC's with both coefficients 0.
+    """
+    if fit.kind in (ModelKind.GM11, ModelKind.GVM):
+        b, bs, bc, omega = fit.b, 0.0, 0.0, 1.0
+    elif fit.kind is ModelKind.GM_S:
+        b, bs, bc, omega = fit.b2, fit.b1, 0.0, fit.omega
     elif fit.kind is ModelKind.GM_C:
-        drift, b1, b2 = fit.b2, 0.0, fit.b1
-    else:  # GM_SC, and GM_ESC whose e^(-a t) factor is 1 at a = 0
-        drift, b1, b2 = fit.b3, fit.b1, fit.b2
-    trig = (b1 * (math.cos(w) - math.cos(w * t))
-            + b2 * (math.sin(w * t) - math.sin(w))) / w
-    return fit.x0_1 + drift * (t - 1.0) + trig
+        b, bs, bc, omega = fit.b2, 0.0, fit.b1, fit.omega
+    else:
+        b, bs, bc, omega = fit.b3, fit.b1, fit.b2, fit.omega
+    a, b, bs, bc, x0 = (np.array([float(v)]) for v in (fit.a, b, bs, bc, fit.x0_1))
+    return WindowFits(fit.kind, a, b, bs, bc, x0, float(omega), fit.window_len,
+                      Failures(1))
 
 
-def accumulated_response(fit: GreyFit, t: float) -> float:
-    """Closed-form accumulated response x1hat(t), with x1hat(1) = x0(1)."""
-    if abs(fit.a) <= DEGENERATE_A:
-        return float(_accumulated_degenerate(fit, t))
-    if fit.kind is ModelKind.GM11:
-        ba = fit.b / fit.a
-        return float((fit.x0_1 - ba) * math.exp(-fit.a * (t - 1.0)) + ba)
-    p1 = _particular(fit, 1.0)
-    return float((fit.x0_1 - p1) * math.exp(-fit.a * (t - 1.0)) + _particular(fit, t))
-
-
-def forecast_trig(fit: GreyFit, k: int) -> float:
-    """x0hat(k+1) by differencing the accumulated closed-form response."""
-    if fit.kind not in TRIG_KINDS:
-        raise InvalidInputError(f"forecast_trig expects a trigonometric fit, got {fit.kind}")
-    return accumulated_response(fit, k + 1.0) - accumulated_response(fit, k)
-
-
-def _integration_constant(fit: GreyFit) -> Optional[float]:
+def _integration_constant(fits: WindowFits) -> Optional[float]:
     """K = e^a (x0(1) - particular(1)), i.e. x1(t) = K e^(-a t) + particular(t).
 
     Undefined (None) for a degenerate development coefficient, where the
-    homogeneous/particular split has a b/a pole.
+    homogeneous/particular split has a b/a pole, and where e^a or the
+    particular solution overflows.
     """
-    if abs(fit.a) <= DEGENERATE_A:
+    a = float(fits.a[0])
+    if abs(a) <= DEGENERATE_A:
         return None
     try:
-        return math.exp(fit.a) * (fit.x0_1 - _particular(fit, 1.0))
+        scale = math.exp(a)
+        if fits.kind is ModelKind.GM_ESC:
+            math.exp(-a)
     except OverflowError:
         return None
+    return scale * (float(fits.x0_1[0]) - float(_particular(fits, np.ones(1))[0, 0]))
+
+
+def fit_model(kind: ModelKind, window, omega: Optional[float] = None) -> GreyFit:
+    """Fit one window (omega defaults to the calibrated table)."""
+    with np.errstate(all="ignore"):
+        fits = fit_windows(kind, _window_values(window), omega)
+    fits.failures.raise_first()
+    a, b, bs, bc = (float(v[0]) for v in (fits.a, fits.b, fits.bs, fits.bc))
+    common = dict(x0_1=float(fits.x0_1[0]), window_len=fits.window_len)
+    if kind in (ModelKind.GM11, ModelKind.GVM):
+        return GreyFit(kind, a=a, b=b, **common)
+    if kind is ModelKind.GM_S:
+        return GreyFit(kind, a=a, b1=bs, b2=b, omega=fits.omega, **common)
+    K = _integration_constant(fits)
+    if kind is ModelKind.GM_C:
+        return GreyFit(kind, a=a, b1=bc, b2=b, omega=fits.omega, K=K, **common)
+    return GreyFit(kind, a=a, b1=bs, b2=bc, b3=b, omega=fits.omega, K=K, **common)
+
+
+def fit_gm11(window) -> GreyFit:
+    """Least-squares fit of x0(k) + a*z1(k) = b."""
+    return fit_model(ModelKind.GM11, window)
+
+
+def fit_gvm(window) -> GreyFit:
+    """Verhulst fit: x0(k) + a*z1(k) = b*z1(k)^2, values strictly positive."""
+    return fit_model(ModelKind.GVM, window)
 
 
 def fit_trig(window, kind: ModelKind, omega: float) -> GreyFit:
     """Fit GM_S / GM_C / GM_SC by one joint least-squares regression."""
     if kind not in (ModelKind.GM_S, ModelKind.GM_C, ModelKind.GM_SC):
         raise InvalidInputError(f"fit_trig does not handle {kind}")
-    if not (omega > 0):
-        raise InvalidInputError("omega must be positive")
-    values = _window_values(window)
-    if values.size < MIN_WINDOW[kind]:
-        raise InsufficientDataError(
-            f"{kind.value} needs a window of at least {MIN_WINDOW[kind]}")
-    z, y = _grey_design(values)
-    k = np.arange(2, values.size + 1, dtype=float)
-    ones = np.ones_like(z)
-    if kind is ModelKind.GM_S:
-        design = np.column_stack([-z, np.sin(omega * k), ones])
-    elif kind is ModelKind.GM_C:
-        design = np.column_stack([-z, np.cos(omega * k), ones])
-    else:
-        design = np.column_stack([-z, np.sin(omega * k), np.cos(omega * k), ones])
-    params = solve_least_squares(LeastSquaresProblem(design, y))
-    if kind is ModelKind.GM_SC:
-        a, b1, b2, b3 = (float(v) for v in params)
-        fit = GreyFit(kind, a=a, b1=b1, b2=b2, b3=b3, omega=float(omega),
-                      x0_1=float(values[0]), window_len=int(values.size))
-    else:
-        a, b1, b2 = (float(v) for v in params)
-        fit = GreyFit(kind, a=a, b1=b1, b2=b2, omega=float(omega),
-                      x0_1=float(values[0]), window_len=int(values.size))
-    if kind in (ModelKind.GM_C, ModelKind.GM_SC):
-        fit = GreyFit(**{**fit.__dict__, "K": _integration_constant(fit)})
-    return fit
+    return fit_model(kind, window, omega)
 
 
 def fit_esc(window, omega: float) -> GreyFit:
-    """Two-stage fit of the exponentially damped sine/cosine model.
+    """Two-stage fit of the exponentially damped sine/cosine model."""
+    return fit_model(ModelKind.GM_ESC, window, omega)
 
-    Stage 1 estimates (a, b3) with the plain GM(1,1) design; stage 2 regresses
-    the stage-1 residuals on e^(-k a) sin(omega k) and e^(-k a) cos(omega k).
+
+def _one_window(fit: GreyFit, evaluate, overflow_error: bool = True):
+    """``evaluate`` on ``fit`` as a stack of one; raises the window's error.
+
+    The bare closed forms let an overflowing exponential through as the
+    ``OverflowError`` of ``math.exp``; ``forecast`` reports it as a
+    ``NumericalDegeneracyError``.
     """
-    if not (omega > 0):
-        raise InvalidInputError("omega must be positive")
-    values = _window_values(window)
-    z, y = _grey_design(values)
-    stage1 = np.column_stack([-z, np.ones_like(z)])
-    a, b3 = (float(v) for v in solve_least_squares(LeastSquaresProblem(stage1, y)))
-    residuals = y + a * z - b3
-    k = np.arange(2, values.size + 1, dtype=float)
-    damp = np.exp(-a * k)
-    if not np.isfinite(damp).all() or float(np.abs(damp).max()) < 1e-250:
-        raise NumericalDegeneracyError(
-            "stage-2 design degenerate: e^(-k a) underflowed or overflowed")
-    stage2 = np.column_stack([damp * np.sin(omega * k), damp * np.cos(omega * k)])
-    b1, b2 = (float(v) for v in solve_least_squares(LeastSquaresProblem(stage2, residuals)))
-    fit = GreyFit(ModelKind.GM_ESC, a=a, b1=b1, b2=b2, b3=b3, omega=float(omega),
-                  x0_1=float(values[0]), window_len=int(values.size))
-    return GreyFit(**{**fit.__dict__, "K": _integration_constant(fit)})
+    fits = _stack_of_one(fit)
+    with np.errstate(all="ignore"):
+        value = evaluate(fits)
+    fits.failures.raise_first(overflow_error)
+    return value[0]
 
 
-def fit_model(kind: ModelKind, window, omega: Optional[float] = None) -> GreyFit:
-    """Dispatch fitting by model kind (omega defaults to the calibrated table)."""
-    if kind is ModelKind.GM11:
-        return fit_gm11(window)
-    if kind is ModelKind.GVM:
-        return fit_gvm(window)
-    w = DEFAULT_OMEGA[kind] if omega is None else float(omega)
-    if kind is ModelKind.GM_ESC:
-        return fit_esc(window, w)
-    return fit_trig(window, kind, w)
+def forecast_gm11(fit: GreyFit, k: int) -> float:
+    """One-step forecast x0hat(k+1) = (1 - e^a)(x0(1) - b/a) e^(-a k)."""
+    return float(_one_window(fit, lambda fits: _gm11(fits, k)))
+
+
+def forecast_gvm(fit: GreyFit, k: int) -> float:
+    """Verhulst forecast in its classic product form (see ``_gvm``)."""
+    return float(_one_window(fit, lambda fits: _gvm(fits, k)))
+
+
+def accumulated_response(fit: GreyFit, t: float) -> float:
+    """Closed-form accumulated response x1hat(t), with x1hat(1) = x0(1)."""
+    if fit.kind is ModelKind.GVM:
+        raise InvalidInputError("GVM has no accumulated closed form")
+    return float(_one_window(fit, lambda fits: _accumulated(fits, np.array([1.0, t])))[1])
+
+
+def forecast_trig(fit: GreyFit, k: int) -> float:
+    """x0hat(k+1) by differencing the accumulated closed-form response."""
+    if fit.kind not in TRIG_KINDS:
+        raise InvalidInputError(f"forecast_trig expects a trigonometric fit, got {fit.kind}")
+    acc = _one_window(fit, lambda fits: _accumulated(fits, np.array([1.0, k, k + 1.0])))
+    return float(acc[2] - acc[1])
 
 
 def forecast(fit: GreyFit, steps_ahead: int = 1) -> float:
-    """Forecast ``steps_ahead`` past the fitted window, without refitting.
-
-    The within-window clock runs k = 1..w, so the first out-of-window value
-    lives at local index w + 1.
-    """
-    if steps_ahead < 1:
-        raise InvalidInputError("steps_ahead must be >= 1")
-    k = fit.window_len + steps_ahead - 1
-    try:
-        if fit.kind is ModelKind.GM11:
-            return forecast_gm11(fit, k)
-        if fit.kind is ModelKind.GVM:
-            # The product form is indexed one step early relative to the other
-            # models; k+1 pairs its leading denominator with the latest
-            # accumulated value.
-            return forecast_gvm(fit, k + 1)
-        return forecast_trig(fit, k)
-    except OverflowError as exc:
-        raise NumericalDegeneracyError(
-            f"{fit.kind.value} closed form overflowed (a={fit.a:.3g})") from exc
+    """Forecast ``steps_ahead`` past the fitted window, without refitting."""
+    return float(_one_window(fit, lambda fits: forecast_windows(fits, steps_ahead),
+                             overflow_error=False))
 
 
 def fitted_values(fit: GreyFit) -> np.ndarray:
     """In-window one-step fitted values for local indices k = 2..w."""
-    out = np.empty(fit.window_len - 1)
-    for i, k in enumerate(range(2, fit.window_len + 1)):
-        if fit.kind is ModelKind.GM11:
-            out[i] = forecast_gm11(fit, k - 1)
-        elif fit.kind is ModelKind.GVM:
-            out[i] = forecast_gvm(fit, k)
-        else:
-            out[i] = forecast_trig(fit, k - 1)
-    return out
+    return _one_window(fit, fitted_windows)

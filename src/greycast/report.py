@@ -17,6 +17,7 @@ from .rolling import (
     ForecastTrace,
     RollingConfig,
     parse_model,
+    resolve_config,
     roll_forecast,
 )
 
@@ -50,20 +51,6 @@ class EvalReport:
         raise KeyError(model)
 
 
-def _config_for(model: str, config: RollingConfig, specs) -> RollingConfig:
-    _, _, bench = parse_model(model)
-    spec = None
-    if bench is not None and specs is not None:
-        spec = {"LINEAR": specs.linear, "ARIMA": specs.arima,
-                "SARIMA": specs.sarima, "SETAR": specs.setar}[bench]
-    omegas = getattr(specs, "omega", None) if specs is not None else None
-    omega = config.omega
-    kind, _, _ = parse_model(model)
-    if omega is None and omegas is not None and kind in omegas:
-        omega = omegas[kind]
-    return replace(config, model=model, omega=omega, benchmark_spec=spec)
-
-
 def compare(dataset: Dataset, models: Sequence[str] = ALL_MODEL_NAMES,
             config: Optional[RollingConfig] = None, specs=None,
             omegas: Optional[Dict] = None) -> Tuple[EvalReport, List[ForecastTrace]]:
@@ -77,7 +64,8 @@ def compare(dataset: Dataset, models: Sequence[str] = ALL_MODEL_NAMES,
     rows: List[ModelRow] = []
     traces: List[ForecastTrace] = []
     for model in models:
-        cfg = _config_for(model, base, specs)
+        # The base config's benchmark coefficients belong to no one model.
+        cfg = resolve_config(replace(base, model=model, benchmark_spec=None), specs)
         if omegas is not None:
             kind, _, _ = parse_model(model)
             if kind in omegas:

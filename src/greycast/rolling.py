@@ -5,13 +5,23 @@ observations and emits a one-step forecast; error-corrected ("EF") variants
 additionally extrapolate a Fourier model of recent residuals, fitted strictly
 on residuals observed before the step (no lookahead). Fit failures never abort
 a roll: the step falls back to persistence (last observation) and is flagged.
+
+A grey-model roll fits and forecasts all of its windows at once: it stacks
+the windows by index arithmetic and hands them to ``models.fit_windows`` and
+``models.forecast_windows``, whose one-window case is ``fit_model`` /
+``forecast``. Every window is solved on its own, so a step's forecast does not
+depend on the rest of the series and equals ``forecast(fit_model(window))``
+bit for bit. A window that fails, or whose forecast is not finite, falls back
+with the message its one-window call raises. The EF correction then runs
+step by step over the batch's base forecasts, since each step's residual
+buffer depends on the steps before it. Benchmark forecasters run step by step.
 """
 from __future__ import annotations
 
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -23,8 +33,16 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
 )
+from .config import load_config
 from .fourier import ResidualSeries, corrected_forecast, fit_residual_fourier
-from .models import EF_NAME, MIN_WINDOW, ModelKind, fit_model, fitted_values, forecast
+from .models import (
+    EF_NAME,
+    MIN_WINDOW,
+    ModelKind,
+    fit_windows,
+    fitted_windows,
+    forecast_windows,
+)
 from .series import Series
 
 BENCHMARK_NAMES = ("LINEAR", "ARIMA", "SARIMA", "SETAR")
@@ -94,7 +112,7 @@ class ForecastTrace:
     model: str
     predictions: Tuple[Tuple[int, float, float], ...]  # (index, predicted, observed)
     residuals: ResidualSeries
-    per_step_time: Tuple[float, ...]
+    per_step_time: Tuple[float, ...]  # s; grey: share of the batch + own EF time
     fallbacks: Tuple[bool, ...]
     errors: Tuple[Tuple[int, str], ...]
 
@@ -117,12 +135,22 @@ def _harmonic_cap(config: RollingConfig, residual_count: int) -> Optional[int]:
     return min(config.ef_harmonics, max_harmonics(residual_count))
 
 
-def _default_benchmark_spec(name: str):
-    from .config import load_config
+def resolve_config(config: RollingConfig, specs=None) -> RollingConfig:
+    """``config`` with its benchmark coefficients and its frequency filled in.
 
-    cfg = load_config()
-    return {"LINEAR": cfg.linear, "ARIMA": cfg.arima,
-            "SARIMA": cfg.sarima, "SETAR": cfg.setar}[name]
+    A value set in ``config`` wins, then ``specs`` (a ``BenchmarkConfig``),
+    then the packaged defaults of ``load_config()``.
+    """
+    kind, _, bench = parse_model(config.model)
+    if specs is None:
+        specs = load_config()
+    if bench is not None:
+        if config.benchmark_spec is not None:
+            return config
+        return replace(config, benchmark_spec=specs.spec(bench))
+    if config.omega is None and kind in specs.omega:
+        return replace(config, omega=specs.omega[kind])
+    return config
 
 
 def _benchmark_forecast(name: str, spec, history: np.ndarray, standard: bool) -> float:
@@ -146,66 +174,144 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
     if n < w + 1:
         raise InsufficientDataError(f"series of {n} < window {w} + 1")
     kind, ef, bench = parse_model(config.model)
-    spec = config.benchmark_spec
-    if bench is not None and spec is None:
-        spec = _default_benchmark_spec(bench)
+    if bench is not None:
+        return _roll_benchmark(values, w, bench, resolve_config(config))
+    return _roll_grey(values, w, kind, ef, config)
+
+
+def _trace(config: RollingConfig, w: int, targets, predicted, observed,
+           step_times, fallbacks, errors) -> ForecastTrace:
+    predicted = np.asarray(predicted, dtype=float)
+    if config.clamp_nonnegative:
+        predicted = np.where(predicted < 0.0, 0.0, predicted)
+    observed = np.asarray(observed, dtype=float)
+    return ForecastTrace(
+        model=config.model,
+        predictions=tuple(zip(targets, predicted.tolist(), observed.tolist())),
+        residuals=ResidualSeries(observed - predicted, start_index=w + 1),
+        per_step_time=tuple(step_times),
+        fallbacks=tuple(fallbacks),
+        errors=tuple(errors),
+    )
+
+
+#: Windows per stacked solve. It bounds a roll's stacked arrays at about 1 MB
+#: however long the series: a 4-point window's system takes 72 bytes, and the
+#: solve and the closed forms make a few arrays of that size.
+BATCH_WINDOWS = 2048
+
+
+def _base_forecasts(values: np.ndarray, w: int, kind: ModelKind, config: RollingConfig,
+                    in_window: bool):
+    """Raw forecast, error and (for in-window EF) fitted values of every window.
+
+    Window j is values[j:j+w]; it predicts 1-based target w+1+j.
+    """
+    count = values.size - w
+    raw, fitted, errors = [], [], {}
+    with np.errstate(all="ignore"):  # failures are flagged, not warned about
+        for lo in range(0, count, BATCH_WINDOWS):
+            hi = min(lo + BATCH_WINDOWS, count)
+            # A batch of one (the online case) is a view; others are gathered.
+            windows = (values[np.arange(lo, hi)[:, None] + np.arange(w)] if hi - lo > 1
+                       else values[None, lo:lo + w])
+            fits = fit_windows(kind, windows, config.omega)
+            part = forecast_windows(fits, config.multi_step)
+            if not np.isfinite(part).all():
+                fits.failures.add(~np.isfinite(part),
+                                  lambda i: InvalidInputError("non-finite forecast"))
+            if in_window:
+                fitted.append(fitted_windows(fits))
+            raw.append(part)
+            errors.update((lo + i, exc) for i, exc in fits.failures.errors.items())
+
+    def join(parts):
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    return join(raw), join(fitted) if in_window else None, errors
+
+
+def _roll_grey(values: np.ndarray, w: int, kind: ModelKind, ef: bool,
+               config: RollingConfig) -> ForecastTrace:
+    start = time.perf_counter()
+    count = values.size - w
+    in_window = ef and config.ef_in_window
+    raw, fitted, batch_errors = _base_forecasts(values, w, kind, config, in_window)
+    share = (time.perf_counter() - start) / count
+    targets = range(w + 1, values.size + 1)
+    observed = values[w:]
+    previous = values[w - 1:-1]
+    if not ef:
+        failed = np.zeros(count, dtype=bool)
+        predicted = raw
+        if batch_errors:
+            failed[list(batch_errors)] = True
+            predicted = np.where(failed, previous, raw)
+        errors = [(w + 1 + j, str(batch_errors[j])) for j in sorted(batch_errors)]
+        return _trace(config, w, targets, predicted, observed, (share,) * count,
+                      failed.tolist(), errors)
 
     buffer: deque = deque(maxlen=config.ef_residual_window)  # (index, residual)
-    predictions: List[Tuple[int, float, float]] = []
-    residuals: List[float] = []
+    predictions: List[float] = []
     step_times: List[float] = []
     fallbacks: List[bool] = []
     errors: List[Tuple[int, str]] = []
-
-    for target in range(w + 1, n + 1):  # 1-based index being predicted
+    raw_list, observed_list = raw.tolist(), observed.tolist()
+    for j, target in enumerate(targets):
         t0 = time.perf_counter()
-        flagged = False
-        raw = math.nan
-        try:
-            if bench is not None:
-                raw = _benchmark_forecast(bench, spec, values[:target - 1],
-                                          config.standard_psi)
-            else:
-                fit = fit_model(kind, values[target - 1 - w:target - 1], config.omega)
-                raw = forecast(fit, steps_ahead=config.multi_step)
-            if not math.isfinite(raw):
-                raise InvalidInputError("non-finite forecast")
-            pred = raw
-            if ef:
-                if config.ef_in_window:
-                    fitted = fitted_values(fit)  # targets local k = 2..w
-                    res = ResidualSeries(values[target - w:target - 1] - fitted,
-                                         start_index=2)
+        exc = batch_errors.get(j)
+        base = raw_list[j]
+        pred = base
+        if exc is None:
+            try:
+                if in_window:
+                    res = ResidualSeries(values[j + 1:j + w] - fitted[j], start_index=2)
                     model = fit_residual_fourier(res, _harmonic_cap(config, len(res)))
-                    pred = corrected_forecast(raw, model, res.next_index)
+                    pred = corrected_forecast(base, model, res.next_index)
                 elif buffer:
                     res = ResidualSeries(np.array([r for _, r in buffer]),
                                          start_index=buffer[0][0])
                     model = fit_residual_fourier(res, _harmonic_cap(config, len(res)))
                     # Correct at the next integer after the latest residual.
-                    pred = corrected_forecast(raw, model, buffer[-1][0] + 1)
+                    pred = corrected_forecast(base, model, buffer[-1][0] + 1)
+            except GreycastError as error:
+                exc = error
+        if exc is not None:
+            pred = float(previous[j])  # persistence fallback
+            errors.append((target, str(exc)))
+        elif not in_window:
+            buffer.append((target, observed_list[j] - base))
+        predictions.append(pred)
+        fallbacks.append(exc is not None)
+        step_times.append(share + time.perf_counter() - t0)
+    return _trace(config, w, targets, predictions, observed, step_times, fallbacks,
+                  errors)
+
+
+def _roll_benchmark(values: np.ndarray, w: int, bench: str,
+                    config: RollingConfig) -> ForecastTrace:
+    predictions: List[float] = []
+    step_times: List[float] = []
+    fallbacks: List[bool] = []
+    errors: List[Tuple[int, str]] = []
+    targets = range(w + 1, values.size + 1)
+    for target in targets:
+        t0 = time.perf_counter()
+        flagged = False
+        try:
+            pred = _benchmark_forecast(bench, config.benchmark_spec,
+                                       values[:target - 1], config.standard_psi)
+            if not math.isfinite(pred):
+                raise InvalidInputError("non-finite forecast")
         except GreycastError as exc:
             pred = float(values[target - 2])  # persistence fallback
             flagged = True
             errors.append((target, str(exc)))
-        if config.clamp_nonnegative and pred < 0.0:
-            pred = 0.0
-        observed = float(values[target - 1])
-        predictions.append((target, float(pred), observed))
-        residuals.append(observed - float(pred))
+        predictions.append(pred)
         fallbacks.append(flagged)
-        if ef and not config.ef_in_window and not flagged:
-            buffer.append((target, observed - raw))
         step_times.append(time.perf_counter() - t0)
-
-    return ForecastTrace(
-        model=config.model,
-        predictions=tuple(predictions),
-        residuals=ResidualSeries(np.array(residuals), start_index=w + 1),
-        per_step_time=tuple(step_times),
-        fallbacks=tuple(fallbacks),
-        errors=tuple(errors),
-    )
+    return _trace(config, w, targets, predictions, values[w:], step_times, fallbacks,
+                  errors)
 
 
 @dataclass(frozen=True)

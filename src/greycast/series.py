@@ -6,7 +6,7 @@ back into original units.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class Series:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-    def head(self, n: int) -> "Series":
-        return Series(self.values[:n], self.interval, self.label)
 
 
 @dataclass(frozen=True)
