@@ -10,6 +10,7 @@ whose low-order terms the legacy recursions match.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -191,16 +192,24 @@ def psi_weights(spec: ArimaSpec, count: int, standard: bool = False) -> list:
     return _psi_standard(spec, count)
 
 
+@functools.lru_cache(maxsize=32)
+def _ar_form(spec: ArimaSpec, standard: bool) -> Tuple[float, np.ndarray]:
+    """mu (1 - sum psi_i) and psi_1..psi_truncation (read-only), computed
+    once per (spec, mode) and process."""
+    weights = np.asarray(psi_weights(spec, spec.truncation + 1, standard=standard)[1:])
+    weights.setflags(write=False)
+    return spec.mu * (1.0 - weights.sum()), weights
+
+
 def forecast_arima(spec: ArimaSpec, history, standard: bool = False) -> float:
     """One-step forecast: mu (1 - sum psi_i) + sum_i psi_i Z_{t+1-i}."""
     z = _values(history)
     if z.size < spec.min_history:
         raise InsufficientDataError(
             f"history of {z.size} < required {spec.min_history}")
-    psi = psi_weights(spec, spec.truncation + 1, standard=standard)
-    weights = np.asarray(psi[1:])
+    intercept, weights = _ar_form(spec, bool(standard))
     lagged = z[-1:-spec.truncation - 1:-1]  # Z_t, Z_{t-1}, ...
-    return float(spec.mu * (1.0 - weights.sum()) + weights @ lagged)
+    return float(intercept + weights @ lagged)
 
 
 def forecast_setar(spec: SetarSpec, history) -> float:

@@ -4,9 +4,15 @@ A truncated Fourier series is least-squares fitted to the recent one-step
 residuals of a base model and extrapolated one index past the buffer to
 correct the next raw forecast ("EF" variants). With too few residuals the
 series degrades gracefully to the residual mean.
+
+Fit and extrapolation together are a linear filter of the residuals whose
+weights depend only on the residual count and the harmonic count:
+``correction_weights`` computes them once, and a rolling forecast applies
+them to every step's residuals at once.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -14,16 +20,24 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .lstsq import LeastSquaresProblem, solve_least_squares
+from .lstsq import (
+    LeastSquaresProblem,
+    singular_error,
+    solve_least_squares,
+    solve_stacked,
+)
+
+NON_FINITE_RESIDUALS = "residuals must be finite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualSeries:
     """Ordered residuals eps(k) = observed(k) - predicted(k).
 
     ``start_index`` is the time index of the first residual (2 when the
     residuals come from inside a fitted window, since the first in-window
-    one-step forecast targets k = 2).
+    one-step forecast targets k = 2). Two series are equal when their start
+    indices and values are.
     """
 
     values: np.ndarray
@@ -34,9 +48,15 @@ class ResidualSeries:
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("residual series must be non-empty and 1-d")
         if not np.isfinite(arr).all():
-            raise InvalidInputError("residuals must be finite")
+            raise InvalidInputError(NON_FINITE_RESIDUALS)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ResidualSeries):
+            return NotImplemented
+        return (self.start_index == other.start_index
+                and np.array_equal(self.values, other.values))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -68,6 +88,28 @@ class FourierResidualModel:
         return len(self.harmonics)
 
 
+def _period(n: int) -> int:
+    return n - 1 if n >= 2 else 1
+
+
+def _harmonic_count(n: int, harmonics: Optional[int]) -> int:
+    cap = max_harmonics(n)
+    count = cap if harmonics is None else int(harmonics)
+    if count < 0 or count > cap:
+        raise InvalidInputError(f"harmonic count {count} outside [0, {cap}]")
+    return count
+
+
+def _design(k: np.ndarray, count: int, period: int) -> np.ndarray:
+    """Columns 1/2, cos(2 pi i k / T), sin(2 pi i k / T) for i = 1..count."""
+    cols = [np.full(k.size, 0.5)]
+    for i in range(1, count + 1):
+        arg = 2.0 * math.pi * i * k / period
+        cols.append(np.cos(arg))
+        cols.append(np.sin(arg))
+    return np.column_stack(cols)
+
+
 def fit_residual_fourier(residuals: ResidualSeries,
                          harmonics: Optional[int] = None) -> FourierResidualModel:
     """Least-squares Fourier fit of a residual sequence.
@@ -79,22 +121,42 @@ def fit_residual_fourier(residuals: ResidualSeries,
     """
     eps = residuals.values
     n = eps.size
-    period = float(n - 1) if n >= 2 else 1.0
-    cap = max_harmonics(n)
-    count = cap if harmonics is None else int(harmonics)
-    if count < 0 or count > cap:
-        raise InvalidInputError(f"harmonic count {count} outside [0, {cap}]")
+    period = float(_period(n))
+    count = _harmonic_count(n, harmonics)
     if count == 0:
         return FourierResidualModel(a0=2.0 * float(eps.mean()), harmonics=(), period=period)
-    k = residuals.indices
-    cols = [np.full(n, 0.5)]
-    for i in range(1, count + 1):
-        arg = 2.0 * math.pi * i * k / period
-        cols.append(np.cos(arg))
-        cols.append(np.sin(arg))
-    coef = solve_least_squares(LeastSquaresProblem(np.column_stack(cols), eps))
+    design = _design(residuals.indices, count, _period(n))
+    coef = solve_least_squares(LeastSquaresProblem(design, eps))
     pairs = tuple((float(coef[2 * i - 1]), float(coef[2 * i])) for i in range(1, count + 1))
     return FourierResidualModel(a0=float(coef[0]), harmonics=pairs, period=period)
+
+
+@functools.lru_cache(maxsize=64)
+def correction_weights(n: int, harmonics: int) -> np.ndarray:
+    """Fourier fit and extrapolation of n residuals as one linear filter.
+
+    Returns the read-only (T, n) matrix W, T = max(n - 1, 1), for which
+    ``W[o] @ eps`` is ``extrapolate_error(fit_residual_fourier(res, harmonics),
+    k)`` for residuals ``res`` with values eps starting at any integer index
+    k0, where o = (k - k0) mod T and k is an integer. Shifting the indices
+    rotates each harmonic's (cos, sin) pair, which the least-squares fit
+    follows, and the fitted series has period T; so the fit at indices
+    0..n-1 serves every k0. A design that ``solve_least_squares`` would
+    reject raises the same ``SingularSystemError``. Each (n, harmonics) is
+    computed once per process and kept in a small cache.
+    """
+    count = _harmonic_count(n, harmonics)
+    period = _period(n)
+    if count == 0:
+        weights = np.full((period, n), 1.0 / n)
+    else:
+        design = _design(np.arange(n, dtype=float), count, period)
+        result = solve_stacked(design[None], np.eye(n)[None])
+        if result.rejected[0]:
+            raise singular_error(float(result.condition[0]))
+        weights = _design(np.arange(period, dtype=float), count, period) @ result.solutions[0]
+    weights.setflags(write=False)
+    return weights
 
 
 def extrapolate_error(model: FourierResidualModel, k: int) -> float:

@@ -44,7 +44,7 @@ class LeastSquaresProblem:
 
 
 class StackedSolution(NamedTuple):
-    solutions: np.ndarray  # (N, p); rows of rejected systems are not minimizers
+    solutions: np.ndarray  # (N, p) or (N, p, k); rejected systems: not minimizers
     condition: np.ndarray  # (N,) largest / smallest singular value
     rejected: np.ndarray  # (N,) rank deficient or condition above the limit
 
@@ -52,13 +52,15 @@ class StackedSolution(NamedTuple):
 def solve_stacked(designs: np.ndarray, targets: np.ndarray) -> StackedSolution:
     """Minimizers of ||B_i p - Y_i||_2 for N finite systems of one shape.
 
-    ``designs`` is (N, m, p) with m >= p and ``targets`` is (N, m). A system
-    is rejected when its numerical rank (singular values above
-    eps * max(m, p) times the largest) is below p or its condition estimate
-    exceeds ``CONDITION_LIMIT``.
+    ``designs`` is (N, m, p) with m >= p and ``targets`` is (N, m), or
+    (N, m, k) for k right-hand sides per system, which give (N, p, k)
+    solutions (the identity gives the pseudo-inverse). A system is rejected
+    when its numerical rank (singular values above eps * max(m, p) times the
+    largest) is below p or its condition estimate exceeds ``CONDITION_LIMIT``.
     """
     n, m, p = designs.shape
     targets = np.ascontiguousarray(targets, dtype=float)
+    columns = targets if targets.ndim == 3 else targets[:, :, None]
     u, s, vh = np.linalg.svd(designs, full_matrices=False)
     smax, smin = s[:, 0], s[:, -1]
     if smin.all():
@@ -71,9 +73,10 @@ def solve_stacked(designs: np.ndarray, targets: np.ndarray) -> StackedSolution:
     # below the rank tolerance.
     rejected = (smin <= _EPS * max(m, p) * smax) | (condition > CONDITION_LIMIT)
     # x = V diag(1/s) U'y; matmul treats each system of a stack alike.
-    coef = np.matmul(u.transpose(0, 2, 1), targets[:, :, None])[:, :, 0] / s
-    solutions = np.matmul(vh.transpose(0, 2, 1), coef[:, :, None])[:, :, 0]
-    return StackedSolution(solutions, condition, rejected)
+    coef = np.matmul(u.transpose(0, 2, 1), columns) / s[:, :, None]
+    solutions = np.matmul(vh.transpose(0, 2, 1), coef)
+    return StackedSolution(solutions if targets.ndim == 3 else solutions[:, :, 0],
+                           condition, rejected)
 
 
 def singular_error(condition: float) -> SingularSystemError:

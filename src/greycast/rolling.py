@@ -12,19 +12,25 @@ the windows by index arithmetic and hands them to ``models.fit_windows`` and
 ``forecast``. Every window is solved on its own, so a step's forecast does not
 depend on the rest of the series and equals ``forecast(fit_model(window))``
 bit for bit. A window that fails, or whose forecast is not finite, falls back
-with the message its one-window call raises. The EF correction then runs
-step by step over the batch's base forecasts, since each step's residual
-buffer depends on the steps before it. Benchmark forecasters run step by step.
+with the message its one-window call raises. Benchmark forecasters run step
+by step.
+
+The EF correction is a linear filter of each step's residuals
+(``fourier.correction_weights``), applied to the whole roll at once. The
+residual buffer holds base residuals only, so every step's buffer follows
+from the base forecasts and their failures; the weights depend only on the
+buffer length, the harmonic count and the step's offset from the buffer's
+first index.
 """
 from __future__ import annotations
 
 import math
 import time
-from collections import deque
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import benchmarks
 from .errors import (
@@ -32,9 +38,15 @@ from .errors import (
     GreycastError,
     InsufficientDataError,
     InvalidInputError,
+    SingularSystemError,
 )
 from .config import load_config
-from .fourier import ResidualSeries, corrected_forecast, fit_residual_fourier
+from .fourier import (
+    NON_FINITE_RESIDUALS,
+    ResidualSeries,
+    correction_weights,
+    max_harmonics,
+)
 from .models import (
     EF_NAME,
     MIN_WINDOW,
@@ -107,12 +119,15 @@ class RollingConfig:
 
 @dataclass(frozen=True)
 class ForecastTrace:
-    """Per-step record of one rolling run over one series."""
+    """Per-step record of one rolling run over one series.
+
+    Two traces are equal when everything but their timings is.
+    """
 
     model: str
     predictions: Tuple[Tuple[int, float, float], ...]  # (index, predicted, observed)
     residuals: ResidualSeries
-    per_step_time: Tuple[float, ...]  # s; grey: share of the batch + own EF time
+    per_step_time: Tuple[float, ...] = field(compare=False)  # s; grey: share of the roll
     fallbacks: Tuple[bool, ...]
     errors: Tuple[Tuple[int, str], ...]
 
@@ -127,12 +142,9 @@ class ForecastTrace:
         return sum(self.fallbacks)
 
 
-def _harmonic_cap(config: RollingConfig, residual_count: int) -> Optional[int]:
-    if config.ef_harmonics is None:
-        return None
-    from .fourier import max_harmonics
-
-    return min(config.ef_harmonics, max_harmonics(residual_count))
+def _harmonic_cap(config: RollingConfig, residual_count: int) -> int:
+    cap = max_harmonics(residual_count)
+    return cap if config.ef_harmonics is None else min(config.ef_harmonics, cap)
 
 
 def resolve_config(config: RollingConfig, specs=None) -> RollingConfig:
@@ -237,55 +249,108 @@ def _roll_grey(values: np.ndarray, w: int, kind: ModelKind, ef: bool,
     count = values.size - w
     in_window = ef and config.ef_in_window
     raw, fitted, batch_errors = _base_forecasts(values, w, kind, config, in_window)
-    share = (time.perf_counter() - start) / count
-    targets = range(w + 1, values.size + 1)
     observed = values[w:]
-    previous = values[w - 1:-1]
-    if not ef:
-        failed = np.zeros(count, dtype=bool)
-        predicted = raw
-        if batch_errors:
-            failed[list(batch_errors)] = True
-            predicted = np.where(failed, previous, raw)
-        errors = [(w + 1 + j, str(batch_errors[j])) for j in sorted(batch_errors)]
-        return _trace(config, w, targets, predicted, observed, (share,) * count,
-                      failed.tolist(), errors)
+    failed = np.zeros(count, dtype=bool)
+    failed[list(batch_errors)] = True
+    messages = {j: str(exc) for j, exc in batch_errors.items()}
+    predicted = raw
+    if ef:
+        with np.errstate(all="ignore"):  # a non-finite residual falls back, unwarned
+            if in_window:
+                steps, corrections, ef_errors = _in_window_corrections(
+                    values, w, fitted, failed, config)
+            else:
+                steps, corrections, ef_errors = _buffered_corrections(
+                    observed - raw, failed, config)
+        predicted = raw.copy()
+        predicted[steps] += corrections
+        failed[list(ef_errors)] = True
+        messages.update(ef_errors)
+    if messages:
+        predicted = np.where(failed, values[w - 1:-1], predicted)  # persistence
+    errors = [(w + 1 + j, messages[j]) for j in sorted(messages)]
+    share = (time.perf_counter() - start) / count
+    return _trace(config, w, range(w + 1, values.size + 1), predicted, observed,
+                  (share,) * count, failed.tolist(), errors)
 
-    buffer: deque = deque(maxlen=config.ef_residual_window)  # (index, residual)
-    predictions: List[float] = []
-    step_times: List[float] = []
-    fallbacks: List[bool] = []
-    errors: List[Tuple[int, str]] = []
-    raw_list, observed_list = raw.tolist(), observed.tolist()
-    for j, target in enumerate(targets):
-        t0 = time.perf_counter()
-        exc = batch_errors.get(j)
-        base = raw_list[j]
-        pred = base
-        if exc is None:
-            try:
-                if in_window:
-                    res = ResidualSeries(values[j + 1:j + w] - fitted[j], start_index=2)
-                    model = fit_residual_fourier(res, _harmonic_cap(config, len(res)))
-                    pred = corrected_forecast(base, model, res.next_index)
-                elif buffer:
-                    res = ResidualSeries(np.array([r for _, r in buffer]),
-                                         start_index=buffer[0][0])
-                    model = fit_residual_fourier(res, _harmonic_cap(config, len(res)))
-                    # Correct at the next integer after the latest residual.
-                    pred = corrected_forecast(base, model, buffer[-1][0] + 1)
-            except GreycastError as error:
-                exc = error
-        if exc is not None:
-            pred = float(previous[j])  # persistence fallback
-            errors.append((target, str(exc)))
-        elif not in_window:
-            buffer.append((target, observed_list[j] - base))
-        predictions.append(pred)
-        fallbacks.append(exc is not None)
-        step_times.append(share + time.perf_counter() - t0)
-    return _trace(config, w, targets, predictions, observed, step_times, fallbacks,
-                  errors)
+
+def _row_dots(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (M, n) weights (or one n-vector) and (M, n)
+    windows, summed left to right: a row's result depends on that row alone,
+    however many rows there are."""
+    total = weights[..., 0] * windows[:, 0]
+    for q in range(1, windows.shape[1]):
+        total = total + weights[..., q] * windows[:, q]
+    return total
+
+
+Corrections = Tuple[np.ndarray, np.ndarray, Dict[int, str]]
+
+
+def _buffered_corrections(residuals: np.ndarray, failed: np.ndarray,
+                          config: RollingConfig) -> Corrections:
+    """The steps the residual buffer corrects, their corrections, and the
+    EF fallbacks as {step: message}.
+
+    The buffer holds the base residuals of the last ``ef_residual_window``
+    steps that did not fall back, and a step that falls back leaves it as it
+    is. So the i-th base-OK step (i = 0, 1, ...) sees the residuals of
+    base-OK steps max(0, i - R) .. i - 1 at their own indices, unless an
+    earlier step fell back on its EF fit: that fit saw the same buffer as
+    every later step, which then falls back with the same message.
+    """
+    ok = np.flatnonzero(~failed)
+    eps = residuals[ok]
+    i = np.arange(1, ok.size)  # base-OK steps with a non-empty buffer
+    lengths = np.minimum(i, config.ef_residual_window)
+    weights, rejected = {}, {}
+    for n in range(1, int(lengths.max(initial=0)) + 1):
+        try:
+            weights[n] = correction_weights(n, _harmonic_cap(config, n))
+        except SingularSystemError as exc:
+            rejected[n] = str(exc)
+    nonfinite = np.concatenate(([0], np.cumsum(~np.isfinite(eps))))
+    finite = nonfinite[i] == nonfinite[i - lengths]
+    stop = ~finite | np.isin(lengths, list(rejected))
+    end = int(np.argmax(stop)) if stop.any() else i.size
+    errors = {}
+    if end < i.size:
+        message = rejected[lengths[end]] if finite[end] else NON_FINITE_RESIDUALS
+        errors = dict.fromkeys(ok[1 + end:].tolist(), message)
+    i, lengths = i[:end], lengths[:end]
+    if not i.size:
+        return i, eps[:0], errors
+    # The series fitted to a buffer has period T = max(n - 1, 1), so the step
+    # after the latest residual is at offset (latest + 1 - first) mod T; gaps
+    # left by fallbacks count, as the buffer keeps each residual's own index.
+    offsets = (ok[i - 1] + 1 - ok[i - lengths]) % np.maximum(lengths - 1, 1)
+    # Buffers grow by one per step up to ``width`` residuals, then keep that
+    # length; each row is right-aligned, with zero weights on the left.
+    width = int(lengths[-1])
+    rows = np.zeros((i.size, width))
+    for r in range(width - 1):
+        rows[r, width - 1 - r:] = weights[r + 1][offsets[r]]
+    rows[width - 1:] = weights[width][offsets[width - 1:]]
+    windows = sliding_window_view(np.concatenate((np.zeros(width), eps)), width)[i]
+    return ok[i], _row_dots(rows, windows), errors
+
+
+def _in_window_corrections(values: np.ndarray, w: int, fitted: np.ndarray,
+                           failed: np.ndarray, config: RollingConfig) -> Corrections:
+    """``_buffered_corrections`` for residuals taken inside each window: window
+    j's residuals values[j+1:j+w] - fitted[j] start at index 2 and correct the
+    forecast at index w + 1."""
+    ok = np.flatnonzero(~failed)
+    n = w - 1
+    windows = sliding_window_view(values, n)[ok + 1] - fitted[ok]
+    finite = np.isfinite(windows).all(axis=1)
+    errors = dict.fromkeys(ok[~finite].tolist(), NON_FINITE_RESIDUALS)
+    try:
+        weights = correction_weights(n, _harmonic_cap(config, n))
+    except SingularSystemError as exc:
+        errors.update(dict.fromkeys(ok[finite].tolist(), str(exc)))
+        return ok[:0], values[:0], errors
+    return ok[finite], _row_dots(weights[n % weights.shape[0]], windows[finite]), errors
 
 
 def _roll_benchmark(values: np.ndarray, w: int, bench: str,
