@@ -7,21 +7,23 @@ recursions reproduce the legacy arithmetic the shipped fixtures were derived
 with, including its idiosyncrasies; ``standard=True`` switches to the textbook
 polynomial long division of phi(B) Phi(B^s) (1-B)^d (1-B^s)^D / theta(B),
 whose low-order terms the legacy recursions match.
+
+Each forecaster is written once over a stack of trailing histories
+(``forecast_histories``), row by row, so a history's forecast does not depend
+on the stack; ``forecast_linear``, ``forecast_arima`` and ``forecast_setar``
+are the one-history case.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError, InvalidInputError
 from .series import Series
-
-
-def _values(history) -> np.ndarray:
-    return history.values if isinstance(history, Series) else np.asarray(history, float)
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,10 @@ class SetarSpec:
         if self.delay < 0:
             raise InvalidInputError("delay must be >= 0")
 
+    @property
+    def min_history(self) -> int:
+        return max(len(self.low_coeffs), len(self.high_coeffs), self.delay + 1)
+
 
 @dataclass(frozen=True)
 class LinearSpec:
@@ -96,9 +102,9 @@ class LinearSpec:
         if self.delay < 1:
             raise InvalidInputError("delay must be >= 1")
 
-
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
+    @property
+    def min_history(self) -> int:
+        return (len(self.coeffs) - 1) * self.delay + 1
 
 
 def _ar_polynomial(spec: ArimaSpec) -> np.ndarray:
@@ -107,19 +113,19 @@ def _ar_polynomial(spec: ArimaSpec) -> np.ndarray:
     ar = np.zeros(len(spec.phi) + 1)
     ar[0] = 1.0
     ar[1:] = [-p for p in spec.phi]
-    poly = _poly_mul(poly, ar)
+    poly = np.convolve(poly, ar)
     if spec.seasonal_phi:
         sar = np.zeros(spec.season_period * len(spec.seasonal_phi) + 1)
         sar[0] = 1.0
         for j, p in enumerate(spec.seasonal_phi, start=1):
             sar[spec.season_period * j] = -p
-        poly = _poly_mul(poly, sar)
+        poly = np.convolve(poly, sar)
     for _ in range(spec.d):
-        poly = _poly_mul(poly, np.array([1.0, -1.0]))
+        poly = np.convolve(poly, np.array([1.0, -1.0]))
     seasonal_diff = np.zeros(spec.season_period + 1)
     seasonal_diff[0], seasonal_diff[-1] = 1.0, -1.0
     for _ in range(spec.D):
-        poly = _poly_mul(poly, seasonal_diff)
+        poly = np.convolve(poly, seasonal_diff)
     return poly
 
 
@@ -201,36 +207,66 @@ def _ar_form(spec: ArimaSpec, standard: bool) -> Tuple[float, np.ndarray]:
     return spec.mu * (1.0 - weights.sum()), weights
 
 
+def _affine(intercept: float, coeffs: Tuple[float, ...], tails: np.ndarray,
+            spacing: int = 1) -> np.ndarray:
+    """intercept + sum_j c_j Z_{t - j spacing} for every row of ``tails``, the
+    terms added left to right from 0, as Python's ``sum`` adds them."""
+    total = 0.0
+    for j, c in enumerate(coeffs):
+        total = total + c * tails[:, -1 - j * spacing]
+    return intercept + total
+
+
+def _forecast_rows(spec, tails: np.ndarray, standard: bool) -> np.ndarray:
+    if isinstance(spec, ArimaSpec):
+        intercept, weights = _ar_form(spec, bool(standard))
+        lagged = tails[:, -1:-spec.truncation - 1:-1]  # Z_t, Z_{t-1}, ...
+        # One dot product per row, as ``weights @ lagged`` computes it alone.
+        return intercept + np.matmul(lagged[:, None, :], weights[:, None])[:, 0, 0]
+    if isinstance(spec, SetarSpec):  # ties at the threshold go to the low regime
+        return np.where(tails[:, -1 - spec.delay] <= spec.threshold,
+                        _affine(spec.low_intercept, spec.low_coeffs, tails),
+                        _affine(spec.high_intercept, spec.high_coeffs, tails))
+    return _affine(spec.intercept, spec.coeffs, tails, spec.delay)
+
+
+def forecast_histories(spec, values: np.ndarray, first: int,
+                       standard: bool = False) -> Tuple[np.ndarray, Dict[int, str]]:
+    """One-step forecasts from the histories values[:end], end = first ..
+    values.size, and {row: message} for the histories shorter than
+    ``spec.min_history`` (their forecast is nan)."""
+    need = spec.min_history
+    count = values.size - first + 1
+    short = min(max(need - first, 0), count)
+    messages = {i: f"history of {first + i} < required {need}" for i in range(short)}
+    forecasts = np.full(count, np.nan)
+    lo = first + short  # the first history long enough
+    if lo <= values.size:
+        # Row k holds values[k:k + need], the tail of the history ending at k + need.
+        tails = (values[None, lo - need:] if lo == values.size
+                 else sliding_window_view(values, need)[lo - need:])
+        forecasts[short:] = _forecast_rows(spec, tails, standard)
+    return forecasts, messages
+
+
+def _forecast_one(spec, history, standard: bool = False) -> float:
+    z = history.values if isinstance(history, Series) else np.asarray(history, float)
+    forecasts, short = forecast_histories(spec, z, z.size, standard)
+    if short:
+        raise InsufficientDataError(short[0])
+    return float(forecasts[0])
+
+
 def forecast_arima(spec: ArimaSpec, history, standard: bool = False) -> float:
     """One-step forecast: mu (1 - sum psi_i) + sum_i psi_i Z_{t+1-i}."""
-    z = _values(history)
-    if z.size < spec.min_history:
-        raise InsufficientDataError(
-            f"history of {z.size} < required {spec.min_history}")
-    intercept, weights = _ar_form(spec, bool(standard))
-    lagged = z[-1:-spec.truncation - 1:-1]  # Z_t, Z_{t-1}, ...
-    return float(intercept + weights @ lagged)
+    return _forecast_one(spec, history, standard)
 
 
 def forecast_setar(spec: SetarSpec, history) -> float:
     """Regime-switching affine AR; ties at the threshold go to the low regime."""
-    z = _values(history)
-    need = max(len(spec.low_coeffs), len(spec.high_coeffs), spec.delay + 1)
-    if z.size < need:
-        raise InsufficientDataError(f"history of {z.size} < required {need}")
-    transition = z[-1 - spec.delay]
-    if transition <= spec.threshold:
-        intercept, coeffs = spec.low_intercept, spec.low_coeffs
-    else:
-        intercept, coeffs = spec.high_intercept, spec.high_coeffs
-    return float(intercept + sum(c * z[-1 - j] for j, c in enumerate(coeffs)))
+    return _forecast_one(spec, history)
 
 
 def forecast_linear(spec: LinearSpec, history) -> float:
     """Affine combination of delay-spaced lags."""
-    z = _values(history)
-    need = (len(spec.coeffs) - 1) * spec.delay + 1
-    if z.size < need:
-        raise InsufficientDataError(f"history of {z.size} < required {need}")
-    return float(spec.intercept
-                 + sum(c * z[-1 - j * spec.delay] for j, c in enumerate(spec.coeffs)))
+    return _forecast_one(spec, history)

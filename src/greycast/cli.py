@@ -21,7 +21,6 @@ from .errors import (
     InvalidInputError,
 )
 from .metrics import mape, rmse
-from .models import ModelKind
 from .report import compare, format_csv, format_table, format_trace_csv
 from .rolling import (
     ALL_MODEL_NAMES,
@@ -145,7 +144,7 @@ def _cmd_calibrate(args) -> int:
     except ValueError:
         raise InvalidInputError(f"--grid must be LO:HI:STEP, got {args.grid!r}")
     kind, ef, bench = parse_model(args.model)
-    if bench is not None or kind in (ModelKind.GM11, ModelKind.GVM):
+    if bench is not None:
         raise InvalidInputError(f"{args.model} has no frequency to calibrate")
     dataset = ingest_csv(args.input)
     config = _rolling_config(args, kind.value)

@@ -12,8 +12,11 @@ the windows by index arithmetic and hands them to ``models.fit_windows`` and
 ``forecast``. Every window is solved on its own, so a step's forecast does not
 depend on the rest of the series and equals ``forecast(fit_model(window))``
 bit for bit. A window that fails, or whose forecast is not finite, falls back
-with the message its one-window call raises. Benchmark forecasters run step
-by step.
+with the message its one-window call raises. A benchmark roll stacks its
+histories the same way (``benchmarks.forecast_histories``): each step equals
+the one-history forecaster's value, and a history too short for the spec
+falls back with the message that forecaster raises. One block then applies the
+fallbacks, the clamp and the trace assembly to every model.
 
 The EF correction is a linear filter of each step's residuals
 (``fourier.correction_weights``), applied to the whole roll at once. The
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,6 +53,7 @@ from .fourier import (
 from .models import (
     EF_NAME,
     MIN_WINDOW,
+    TRIG_KINDS,
     ModelKind,
     fit_windows,
     fitted_windows,
@@ -127,7 +131,7 @@ class ForecastTrace:
     model: str
     predictions: Tuple[Tuple[int, float, float], ...]  # (index, predicted, observed)
     residuals: ResidualSeries
-    per_step_time: Tuple[float, ...] = field(compare=False)  # s; grey: share of the roll
+    per_step_time: Tuple[float, ...] = field(compare=False)  # s; equal share of the roll
     fallbacks: Tuple[bool, ...]
     errors: Tuple[Tuple[int, str], ...]
 
@@ -165,14 +169,6 @@ def resolve_config(config: RollingConfig, specs=None) -> RollingConfig:
     return config
 
 
-def _benchmark_forecast(name: str, spec, history: np.ndarray, standard: bool) -> float:
-    if name == "LINEAR":
-        return benchmarks.forecast_linear(spec, history)
-    if name == "SETAR":
-        return benchmarks.forecast_setar(spec, history)
-    return benchmarks.forecast_arima(spec, history, standard=standard)
-
-
 def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
     """Roll the configured model over ``series``, one-step-ahead.
 
@@ -186,24 +182,46 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
     if n < w + 1:
         raise InsufficientDataError(f"series of {n} < window {w} + 1")
     kind, ef, bench = parse_model(config.model)
-    if bench is not None:
-        return _roll_benchmark(values, w, bench, resolve_config(config))
-    return _roll_grey(values, w, kind, ef, config)
-
-
-def _trace(config: RollingConfig, w: int, targets, predicted, observed,
-           step_times, fallbacks, errors) -> ForecastTrace:
-    predicted = np.asarray(predicted, dtype=float)
+    start = time.perf_counter()
+    count = n - w
+    in_window = ef and config.ef_in_window
+    observed = values[w:]
+    with np.errstate(all="ignore"):  # failures are flagged, not warned about
+        if bench is None:
+            raw, fitted, messages = _base_forecasts(values, w, kind, config, in_window)
+        else:
+            # Step j's history is values[:w + j]; the short ones come first.
+            config = resolve_config(config)
+            raw, messages = benchmarks.forecast_histories(
+                config.benchmark_spec, values[:-1], w, config.standard_psi)
+            late = np.flatnonzero(~np.isfinite(raw))[len(messages):]
+            messages.update(dict.fromkeys(late.tolist(), "non-finite forecast"))
+        failed = np.zeros(count, dtype=bool)
+        failed[list(messages)] = True
+        predicted = raw
+        if ef:
+            if in_window:
+                steps, corrections, ef_errors = _in_window_corrections(
+                    values, w, fitted, failed, config)
+            else:
+                steps, corrections, ef_errors = _buffered_corrections(
+                    observed - raw, failed, config)
+            predicted = raw.copy()
+            predicted[steps] += corrections
+            failed[list(ef_errors)] = True
+            messages.update(ef_errors)
+    if messages:
+        predicted = np.where(failed, values[w - 1:-1], predicted)  # persistence
     if config.clamp_nonnegative:
         predicted = np.where(predicted < 0.0, 0.0, predicted)
-    observed = np.asarray(observed, dtype=float)
+    share = (time.perf_counter() - start) / count
     return ForecastTrace(
         model=config.model,
-        predictions=tuple(zip(targets, predicted.tolist(), observed.tolist())),
+        predictions=tuple(zip(range(w + 1, n + 1), predicted.tolist(), observed.tolist())),
         residuals=ResidualSeries(observed - predicted, start_index=w + 1),
-        per_step_time=tuple(step_times),
-        fallbacks=tuple(fallbacks),
-        errors=tuple(errors),
+        per_step_time=(share,) * count,
+        fallbacks=tuple(failed.tolist()),
+        errors=tuple((w + 1 + j, messages[j]) for j in sorted(messages)),
     )
 
 
@@ -215,12 +233,13 @@ BATCH_WINDOWS = 2048
 
 def _base_forecasts(values: np.ndarray, w: int, kind: ModelKind, config: RollingConfig,
                     in_window: bool):
-    """Raw forecast, error and (for in-window EF) fitted values of every window.
+    """Raw forecast and (for in-window EF) fitted values of every window, and
+    {step: message} of the failed ones.
 
     Window j is values[j:j+w]; it predicts 1-based target w+1+j.
     """
     count = values.size - w
-    raw, fitted, errors = [], [], {}
+    raw, fitted, messages = [], [], {}
     with np.errstate(all="ignore"):  # failures are flagged, not warned about
         for lo in range(0, count, BATCH_WINDOWS):
             hi = min(lo + BATCH_WINDOWS, count)
@@ -235,43 +254,12 @@ def _base_forecasts(values: np.ndarray, w: int, kind: ModelKind, config: Rolling
             if in_window:
                 fitted.append(fitted_windows(fits))
             raw.append(part)
-            errors.update((lo + i, exc) for i, exc in fits.failures.errors.items())
+            messages.update((lo + i, str(exc)) for i, exc in fits.failures.errors.items())
 
     def join(parts):
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    return join(raw), join(fitted) if in_window else None, errors
-
-
-def _roll_grey(values: np.ndarray, w: int, kind: ModelKind, ef: bool,
-               config: RollingConfig) -> ForecastTrace:
-    start = time.perf_counter()
-    count = values.size - w
-    in_window = ef and config.ef_in_window
-    raw, fitted, batch_errors = _base_forecasts(values, w, kind, config, in_window)
-    observed = values[w:]
-    failed = np.zeros(count, dtype=bool)
-    failed[list(batch_errors)] = True
-    messages = {j: str(exc) for j, exc in batch_errors.items()}
-    predicted = raw
-    if ef:
-        with np.errstate(all="ignore"):  # a non-finite residual falls back, unwarned
-            if in_window:
-                steps, corrections, ef_errors = _in_window_corrections(
-                    values, w, fitted, failed, config)
-            else:
-                steps, corrections, ef_errors = _buffered_corrections(
-                    observed - raw, failed, config)
-        predicted = raw.copy()
-        predicted[steps] += corrections
-        failed[list(ef_errors)] = True
-        messages.update(ef_errors)
-    if messages:
-        predicted = np.where(failed, values[w - 1:-1], predicted)  # persistence
-    errors = [(w + 1 + j, messages[j]) for j in sorted(messages)]
-    share = (time.perf_counter() - start) / count
-    return _trace(config, w, range(w + 1, values.size + 1), predicted, observed,
-                  (share,) * count, failed.tolist(), errors)
+    return join(raw), join(fitted) if in_window else None, messages
 
 
 def _row_dots(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -353,32 +341,6 @@ def _in_window_corrections(values: np.ndarray, w: int, fitted: np.ndarray,
     return ok[finite], _row_dots(weights[n % weights.shape[0]], windows[finite]), errors
 
 
-def _roll_benchmark(values: np.ndarray, w: int, bench: str,
-                    config: RollingConfig) -> ForecastTrace:
-    predictions: List[float] = []
-    step_times: List[float] = []
-    fallbacks: List[bool] = []
-    errors: List[Tuple[int, str]] = []
-    targets = range(w + 1, values.size + 1)
-    for target in targets:
-        t0 = time.perf_counter()
-        flagged = False
-        try:
-            pred = _benchmark_forecast(bench, config.benchmark_spec,
-                                       values[:target - 1], config.standard_psi)
-            if not math.isfinite(pred):
-                raise InvalidInputError("non-finite forecast")
-        except GreycastError as exc:
-            pred = float(values[target - 2])  # persistence fallback
-            flagged = True
-            errors.append((target, str(exc)))
-        predictions.append(pred)
-        fallbacks.append(flagged)
-        step_times.append(time.perf_counter() - t0)
-    return _trace(config, w, targets, predictions, values[w:], step_times, fallbacks,
-                  errors)
-
-
 @dataclass(frozen=True)
 class OmegaGrid:
     """Inclusive arithmetic grid of candidate angular frequencies."""
@@ -403,8 +365,8 @@ def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
     Calibration runs once on one series and the winner is reused elsewhere.
     Ties break toward the smallest candidate.
     """
-    if kind not in (ModelKind.GM_S, ModelKind.GM_C, ModelKind.GM_SC, ModelKind.GM_ESC):
-        raise InvalidInputError(f"{kind} has no frequency to calibrate")
+    if kind not in TRIG_KINDS:
+        raise InvalidInputError(f"{kind.value} has no frequency to calibrate")
     base = config if config is not None else RollingConfig(model=kind.value)
     best_omega, best_rmse = None, math.inf
     for omega in grid.candidates():
