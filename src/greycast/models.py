@@ -20,6 +20,8 @@ that cannot be fit or forecast gets the error its one-window call raises, at
 the same point. ``fit_model``, ``forecast``, ``forecast_gm11``,
 ``forecast_gvm``, ``forecast_trig``, ``accumulated_response`` and
 ``fitted_values`` are the one-window case: they evaluate a stack of one.
+GM_ESC's fit is GM(1,1)'s fit followed by ``fit_esc_windows``, which leaves
+the GM(1,1) fits as they are, so one stage one can serve every frequency.
 
 The trigonometric family shares GM_SC's closed form: GM_S and GM_C are GM_SC
 with the unused trig coefficient 0, and GM_ESC damps the same two terms by
@@ -144,6 +146,13 @@ class Failures:
     def add_all(self, error: Callable[[int], GreycastError]) -> None:
         self.add(np.ones(self.failed.size, dtype=bool), error)
 
+    def copy(self) -> "Failures":
+        other = Failures(0)
+        other.failed = self.failed.copy()
+        other.errors = dict(self.errors)
+        other.overflows = set(self.overflows)
+        return other
+
     def raise_first(self, overflow_error: bool = False) -> None:
         """Raise the error of window 0 (the one-window case), if it has one;
         with ``overflow_error``, an overflow as an ``OverflowError``."""
@@ -227,14 +236,16 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
 
     GM11 and GVM solve x0(k) + a*z1(k) = b and = b*z1(k)^2; GM_S, GM_C and
     GM_SC regress jointly on sin(omega k) / cos(omega k) and a constant.
-    GM_ESC is two-stage: stage 1 estimates (a, b) with the GM(1,1) design and
-    stage 2 regresses its residuals on e^(-k a) sin(omega k) and
+    GM_ESC is two-stage: stage 1 is GM(1,1)'s fit and stage 2
+    (``fit_esc_windows``) regresses its residuals on e^(-k a) sin(omega k) and
     e^(-k a) cos(omega k). ``omega`` defaults to ``DEFAULT_OMEGA``.
 
     Like the other stack functions it reports overflow and invalid values
     through numpy's error state; the errors it cares about are in the
     returned ``failures``.
     """
+    if kind is ModelKind.GM_ESC:
+        return fit_esc_windows(fit_windows(ModelKind.GM11, windows), windows, omega)
     x = np.asarray(windows, dtype=float)
     n, w = x.shape
     fails = Failures(n)
@@ -260,11 +271,8 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
             "Verhulst fit needs strictly positive values "
             f"(index {int(np.argmax(nonpositive[i]))})"))
     if fails.errors and fails.failed.all():
-        nan = np.full(n, np.nan)
-        return WindowFits(kind, nan, nan, nan, nan, nan, freq, w, fails)
-    x1 = np.add.accumulate(x, axis=1)
-    z = (x1[:, :-1] + x1[:, 1:]) / 2.0
-    k = np.arange(2, w + 1, dtype=float)
+        return _all_failed(kind, n, freq, w, fails)
+    z, k = _mean_sequence(x)
     # Design columns, then the targets x0(2..w) as the last column.
     trig = _TRIG_COLUMNS.get(kind, ())
     system = np.empty((n, w - 1, 3 + len(trig)))
@@ -285,23 +293,52 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
         bc = params[1]
     elif kind is ModelKind.GM_SC:
         bs, bc = params[1], params[2]
-    elif kind is ModelKind.GM_ESC:
-        bs, bc = _esc_stage_two(fails, a, b, z, x[:, 1:], k, freq)
     return WindowFits(kind, a, b, bs, bc, x[:, 0], freq, w, fails)
 
 
-def _esc_stage_two(fails: Failures, a, b, z, y, k, omega: float):
-    residuals = y + a[:, None] * z - b[:, None]
+def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = None) -> WindowFits:
+    """GM_ESC on the windows that ``stage_one``, GM(1,1)'s fit, was fitted on.
+
+    Stage 2 regresses stage 1's residuals on e^(-k a) sin(omega k) and
+    e^(-k a) cos(omega k). A non-positive ``omega`` fails every window first;
+    otherwise a window keeps its stage-1 error. ``stage_one`` is left as it
+    is, so one GM(1,1) fit can serve every frequency.
+    """
+    x = np.asarray(windows, dtype=float)
+    n, w = x.shape
+    freq = DEFAULT_OMEGA[ModelKind.GM_ESC] if omega is None else float(omega)
+    if freq > 0:
+        fails = stage_one.failures.copy()
+    else:
+        fails = Failures(n)
+        fails.add_all(lambda i: InvalidInputError("omega must be positive"))
+    if fails.errors and fails.failed.all():
+        return _all_failed(ModelKind.GM_ESC, n, freq, w, fails)
+    a, b = stage_one.a, stage_one.b
+    z, k = _mean_sequence(x)
+    residuals = x[:, 1:] + a[:, None] * z - b[:, None]
     damp = np.exp(-a[:, None] * k)
     if not (damp.min() >= 1e-250 and damp.max() < np.inf):
         fails.add(~np.isfinite(damp).all(axis=1) | (np.abs(damp).max(axis=1) < 1e-250),
                   lambda i: NumericalDegeneracyError(
                       "stage-2 design degenerate: e^(-k a) underflowed or overflowed"))
     system = np.empty(damp.shape + (3,))
-    np.multiply(damp, np.sin(omega * k), out=system[..., 0])
-    np.multiply(damp, np.cos(omega * k), out=system[..., 1])
+    np.multiply(damp, np.sin(freq * k), out=system[..., 0])
+    np.multiply(damp, np.cos(freq * k), out=system[..., 1])
     system[..., 2] = residuals
-    return _solve(fails, system)
+    bs, bc = _solve(fails, system)
+    return WindowFits(ModelKind.GM_ESC, a, b, bs, bc, x[:, 0], freq, w, fails)
+
+
+def _all_failed(kind: ModelKind, n: int, freq, w: int, fails: Failures) -> WindowFits:
+    nan = np.full(n, np.nan)
+    return WindowFits(kind, nan, nan, nan, nan, nan, freq, w, fails)
+
+
+def _mean_sequence(x: np.ndarray):
+    """Mean sequence z1(k) of each window's accumulation, and k = 2..w."""
+    x1 = np.add.accumulate(x, axis=1)
+    return (x1[:, :-1] + x1[:, 1:]) / 2.0, np.arange(2, x.shape[1] + 1, dtype=float)
 
 
 # -- closed forms, each written once over arrays -------------------------------

@@ -1,4 +1,10 @@
-"""Multi-model comparison reports: per-model RMSE/MAPE/compute-time matrices."""
+"""Multi-model comparison reports: per-model RMSE/MAPE/compute-time matrices.
+
+``compare`` rolls every (model, series) pair through ``roll_forecast``,
+series by series, each series inside one ``rolling._sharing`` scope: each
+distinct grey fit of a series is solved once, and every trace equals the
+standalone roll's.
+"""
 from __future__ import annotations
 
 import io
@@ -16,6 +22,7 @@ from .rolling import (
     ALL_MODEL_NAMES,
     ForecastTrace,
     RollingConfig,
+    _sharing,
     parse_model,
     resolve_config,
     roll_forecast,
@@ -32,7 +39,9 @@ class ModelRow:
     rmse: float
     mape: float  # percent
     excluded_pairs: int
-    compute_time: float  # mean wall-clock seconds per series
+    # Mean seconds per series that the model costs on its own: a roll's wall
+    # time plus the compute time of the shared fits and forecasts it read.
+    compute_time: float
     series_count: int
     failed: bool = False
     message: str = ""
@@ -56,13 +65,18 @@ def compare(dataset: Dataset, models: Sequence[str] = ALL_MODEL_NAMES,
             omegas: Optional[Dict] = None) -> Tuple[EvalReport, List[ForecastTrace]]:
     """Roll every model over every series; average metrics across series.
 
-    Per-model failures become flagged rows instead of aborting the report.
-    ``omegas`` maps a grey ModelKind to a calibrated frequency, overriding the
-    config defaults. Returns the report plus all per-(series, model) traces.
+    Per-model failures become flagged rows instead of aborting the report,
+    and a failed model contributes no traces. ``omegas`` maps a grey
+    ModelKind to a calibrated frequency, overriding the config defaults.
+    Returns the report plus the per-(series, model) traces of the models
+    that did not fail, model by model.
+
+    The rolls of one series share their work: each distinct grey fit is
+    solved once, an EF model reads its base model's forecasts and GM_ESC
+    starts from GM11's fits. Nothing is kept once the series is done.
     """
     base = config if config is not None else RollingConfig()
-    rows: List[ModelRow] = []
-    traces: List[ForecastTrace] = []
+    configs = []
     for model in models:
         # The base config's benchmark coefficients belong to no one model.
         cfg = resolve_config(replace(base, model=model, benchmark_spec=None), specs)
@@ -70,37 +84,25 @@ def compare(dataset: Dataset, models: Sequence[str] = ALL_MODEL_NAMES,
             kind, _, _ = parse_model(model)
             if kind in omegas:
                 cfg = replace(cfg, omega=float(omegas[kind]))
-        per_rmse: List[float] = []
-        per_mape: List[float] = []
-        excluded = 0
-        elapsed: List[float] = []
-        failure = ""
-        for series in dataset.series:
-            try:
-                t0 = time.perf_counter()
-                trace = roll_forecast(series, cfg)
-                elapsed.append(time.perf_counter() - t0)
-            except GreycastError as exc:
-                failure = str(exc)
-                break
-            traces.append(trace)
-            predicted, observed = trace.predicted(), trace.observed()
-            per_rmse.append(rmse(predicted, observed))
-            result = mape(predicted, observed)
-            per_mape.append(result.value)
-            excluded += result.excluded
-        if failure:
-            rows.append(ModelRow(model, math.nan, math.nan, 0, math.nan,
-                                 len(dataset.series), failed=True, message=failure))
-            continue
-        rows.append(ModelRow(
-            model=model,
-            rmse=float(np.mean(sorted(per_rmse))),
-            mape=float(np.mean(sorted(per_mape))),
-            excluded_pairs=excluded,
-            compute_time=float(np.mean(elapsed)),
-            series_count=len(dataset.series),
-        ))
+        configs.append(cfg)
+    runs: List[List[Tuple[ForecastTrace, float]]] = [[] for _ in configs]
+    failures: List[Optional[str]] = [None] * len(configs)
+    for series in dataset.series:
+        with _sharing() as shared:
+            for m, cfg in enumerate(configs):
+                if failures[m] is not None:
+                    continue  # a model stops at the first series it fails on
+                try:
+                    t0, borrowed = time.perf_counter(), shared.borrowed
+                    trace = roll_forecast(series, cfg)
+                    # What the roll read from earlier rolls is part of its cost.
+                    runs[m].append((trace, time.perf_counter() - t0 + shared.borrowed - borrowed))
+                except GreycastError as exc:
+                    failures[m] = str(exc)
+    rows = [_row(cfg.model, own, failure, len(dataset.series))
+            for cfg, own, failure in zip(configs, runs, failures)]
+    traces = [trace for own, failure in zip(runs, failures) if failure is None
+              for trace, _ in own]
 
     report = EvalReport(rows=tuple(rows))
     names = {row.model for row in rows if not row.failed}
@@ -118,6 +120,31 @@ def compare(dataset: Dataset, models: Sequence[str] = ALL_MODEL_NAMES,
                 improvement_mape=improvement(ref.mape, cand.mape),
             )
     return report, traces
+
+
+def _row(model: str, runs: List[Tuple[ForecastTrace, float]], failure: Optional[str],
+         series_count: int) -> ModelRow:
+    """One model's row from its (trace, seconds) per series."""
+    if failure is not None:
+        return ModelRow(model, math.nan, math.nan, 0, math.nan, series_count,
+                        failed=True, message=failure)
+    per_rmse: List[float] = []
+    per_mape: List[float] = []
+    excluded = 0
+    for trace, _ in runs:
+        predicted, observed = trace.predicted(), trace.observed()
+        per_rmse.append(rmse(predicted, observed))
+        result = mape(predicted, observed)
+        per_mape.append(result.value)
+        excluded += result.excluded
+    return ModelRow(
+        model=model,
+        rmse=float(np.mean(sorted(per_rmse))),
+        mape=float(np.mean(sorted(per_mape))),
+        excluded_pairs=excluded,
+        compute_time=float(np.mean([seconds for _, seconds in runs])),
+        series_count=series_count,
+    )
 
 
 def format_table(report: EvalReport) -> str:

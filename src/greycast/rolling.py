@@ -24,13 +24,23 @@ residual buffer holds base residuals only, so every step's buffer follows
 from the base forecasts and their failures; the weights depend only on the
 buffer length, the harmonic count and the step's offset from the buffer's
 first index.
+
+Within one ``report.compare`` or ``calibrate_omega`` call the rolls share
+their work (``_sharing``): a series' windows are gathered once per window
+length, each distinct fit is solved once, an EF model reads its base model's
+forecasts and messages, and GM_ESC starts stage two from GM11's fits. Shared
+results are read-only, are gone by the time the call returns, and are charged
+to every roll that reads them, so a trace's ``per_step_time`` states what the
+model costs on its own. A roll made outside those calls shares nothing.
 """
 from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,7 +64,10 @@ from .models import (
     EF_NAME,
     MIN_WINDOW,
     TRIG_KINDS,
+    Failures,
     ModelKind,
+    WindowFits,
+    fit_esc_windows,
     fit_windows,
     fitted_windows,
     forecast_windows,
@@ -169,6 +182,14 @@ def resolve_config(config: RollingConfig, specs=None) -> RollingConfig:
     return config
 
 
+def _window(values: np.ndarray, config: RollingConfig) -> int:
+    """The roll's window; raises if ``values`` is too short for one step."""
+    w = config.effective_window()
+    if values.size < w + 1:
+        raise InsufficientDataError(f"series of {values.size} < window {w} + 1")
+    return w
+
+
 def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
     """Roll the configured model over ``series``, one-step-ahead.
 
@@ -177,12 +198,10 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
     model's residuals for the Fourier correction.
     """
     values = series.values
-    w = config.effective_window()
+    w = _window(values, config)
     n = values.size
-    if n < w + 1:
-        raise InsufficientDataError(f"series of {n} < window {w} + 1")
     kind, ef, bench = parse_model(config.model)
-    start = time.perf_counter()
+    start, borrowed = time.perf_counter(), _borrowed()
     count = n - w
     in_window = ef and config.ef_in_window
     observed = values[w:]
@@ -214,7 +233,7 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
         predicted = np.where(failed, values[w - 1:-1], predicted)  # persistence
     if config.clamp_nonnegative:
         predicted = np.where(predicted < 0.0, 0.0, predicted)
-    share = (time.perf_counter() - start) / count
+    share = (time.perf_counter() - start + _borrowed() - borrowed) / count
     return ForecastTrace(
         model=config.model,
         predictions=tuple(zip(range(w + 1, n + 1), predicted.tolist(), observed.tolist())),
@@ -231,35 +250,139 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
 BATCH_WINDOWS = 2048
 
 
+class _Entry(NamedTuple):
+    values: np.ndarray  # the series' values, held so that its id stays its own
+    omega: Optional[float]
+    result: object
+    seconds: float  # what computing ``result`` cost, shared entries it read included
+
+
+class _SharedFits:
+    """Windows, fits and base forecasts that the rolls of one call share.
+
+    ``report.compare`` opens one per series and ``calibrate_omega`` one for
+    the call (``_sharing``); a roll made anywhere else finds none and
+    computes everything itself. An entry holds the series' values array and
+    matches only that very array (``is``), never another array that happens
+    to get its id. A slot keeps one entry, the one for the latest ω, so a
+    calibration grid replaces entries instead of piling them up.
+
+    ``borrowed`` adds up the compute seconds of every entry read instead of
+    computed. A roll adds what it borrowed to its own time, so its timings
+    state what it costs on its own.
+    """
+
+    def __init__(self):
+        self.entries = {}
+        self.borrowed = 0.0
+
+    def get(self, values: np.ndarray, slot: tuple, omega, compute):
+        key = (id(values),) + slot
+        entry = self.entries.get(key)
+        if entry is not None and entry.values is values and entry.omega == omega:
+            self.borrowed += entry.seconds
+            return entry.result
+        start, before = time.perf_counter(), self.borrowed
+        result = compute()
+        seconds = time.perf_counter() - start + self.borrowed - before
+        self.entries[key] = _Entry(values, omega, result, seconds)
+        return result
+
+
+#: The shared results of the compare or calibrate call in progress, if any.
+#: A context variable, so that calls on other threads share nothing.
+_SHARED: ContextVar[Optional[_SharedFits]] = ContextVar("greycast_shared_fits",
+                                                        default=None)
+
+
+@contextmanager
+def _sharing():
+    """Share windows, fits and base forecasts between the rolls made inside."""
+    token = _SHARED.set(_SharedFits())
+    try:
+        yield _SHARED.get()
+    finally:
+        _SHARED.reset(token)
+
+
+def _borrowed() -> float:
+    shared = _SHARED.get()
+    return 0.0 if shared is None else shared.borrowed
+
+
+def _memo(shared: Optional[_SharedFits], values: np.ndarray, slot: tuple, omega, compute):
+    """``compute()``, or its result from an earlier roll of this call."""
+    return compute() if shared is None else shared.get(values, slot, omega, compute)
+
+
 def _base_forecasts(values: np.ndarray, w: int, kind: ModelKind, config: RollingConfig,
                     in_window: bool):
     """Raw forecast and (for in-window EF) fitted values of every window, and
     {step: message} of the failed ones.
 
-    Window j is values[j:j+w]; it predicts 1-based target w+1+j.
+    Window j is values[j:j+w]; it predicts 1-based target w+1+j. An EF model
+    reads its base model's forecasts, which the base's own roll may have
+    computed already.
     """
+    shared = _SHARED.get()
+    omega = config.omega if kind in TRIG_KINDS else None
     count = values.size - w
     raw, fitted, messages = [], [], {}
     with np.errstate(all="ignore"):  # failures are flagged, not warned about
         for lo in range(0, count, BATCH_WINDOWS):
             hi = min(lo + BATCH_WINDOWS, count)
-            # A batch of one (the online case) is a view; others are gathered.
-            windows = (values[np.arange(lo, hi)[:, None] + np.arange(w)] if hi - lo > 1
-                       else values[None, lo:lo + w])
-            fits = fit_windows(kind, windows, config.omega)
-            part = forecast_windows(fits, config.multi_step)
-            if not np.isfinite(part).all():
-                fits.failures.add(~np.isfinite(part),
-                                  lambda i: InvalidInputError("non-finite forecast"))
-            if in_window:
-                fitted.append(fitted_windows(fits))
+            fits, part, errors = _memo(
+                shared, values, ("base", kind, w, config.multi_step, lo), omega,
+                lambda: _forecast_batch(shared, values, lo, hi, w, kind, omega,
+                                        config.multi_step))
             raw.append(part)
-            messages.update((lo + i, str(exc)) for i, exc in fits.failures.errors.items())
+            messages.update((lo + i, message) for i, message in errors.items())
+            if in_window:
+                # The fitted values' own failures count for the windows that
+                # have none yet; the shared fits keep theirs.
+                fits = fits._replace(failures=Failures(hi - lo))
+                fitted.append(fitted_windows(fits))
+                for i, exc in fits.failures.errors.items():
+                    messages.setdefault(lo + i, str(exc))
 
     def join(parts):
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     return join(raw), join(fitted) if in_window else None, messages
+
+
+def _forecast_batch(shared: Optional[_SharedFits], values: np.ndarray, lo: int, hi: int,
+                    w: int, kind: ModelKind, omega: Optional[float], multi_step: int):
+    """Fits, read-only raw forecasts and {window: message} of windows lo..hi-1."""
+    fits = _window_fits(shared, values, lo, hi, w, kind, omega)
+    # Shared fits keep their own failures; the forecast's go to a copy.
+    run = fits if shared is None else fits._replace(failures=fits.failures.copy())
+    raw = forecast_windows(run, multi_step)
+    if not np.isfinite(raw).all():
+        run.failures.add(~np.isfinite(raw), lambda i: InvalidInputError("non-finite forecast"))
+    raw.setflags(write=False)
+    return fits, raw, {i: str(exc) for i, exc in run.failures.errors.items()}
+
+
+def _window_fits(shared: Optional[_SharedFits], values: np.ndarray, lo: int, hi: int, w: int,
+                 kind: ModelKind, omega: Optional[float]) -> WindowFits:
+    """``kind`` fitted on windows lo..hi-1; GM_ESC starts from GM11's fits."""
+    def fit():
+        windows = _memo(shared, values, ("windows", w, lo), None,
+                        lambda: _gather(values, lo, hi, w))
+        if kind is ModelKind.GM_ESC:
+            stage_one = _window_fits(shared, values, lo, hi, w, ModelKind.GM11, None)
+            return fit_esc_windows(stage_one, windows, omega)
+        return fit_windows(kind, windows, omega)
+
+    return _memo(shared, values, ("fits", kind, w, lo), omega, fit)
+
+
+def _gather(values: np.ndarray, lo: int, hi: int, w: int) -> np.ndarray:
+    # A batch of one (the online case) is a view; others are gathered.
+    if hi - lo == 1:
+        return values[None, lo:lo + w]
+    return values[np.arange(lo, hi)[:, None] + np.arange(w)]
 
 
 def _row_dots(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -367,21 +490,22 @@ def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
     """
     if kind not in TRIG_KINDS:
         raise InvalidInputError(f"{kind.value} has no frequency to calibrate")
-    base = config if config is not None else RollingConfig(model=kind.value)
+    base = replace(config if config is not None else RollingConfig(), model=kind.value)
+    _window(series.values, base)
     best_omega, best_rmse = None, math.inf
-    for omega in grid.candidates():
-        cfg = replace(base, model=kind.value, omega=float(omega))
-        try:
-            trace = roll_forecast(series, cfg)
-        except GreycastError:
-            continue
-        if all(trace.fallbacks):
-            continue
-        err = trace.predicted() - trace.observed()
-        with np.errstate(over="ignore"):
-            rmse = float(np.sqrt(np.mean(err * err)))
-        if rmse < best_rmse:
-            best_omega, best_rmse = float(omega), rmse
+    with _sharing():
+        for omega in grid.candidates():
+            try:
+                trace = roll_forecast(series, replace(base, omega=float(omega)))
+            except GreycastError:
+                continue
+            if all(trace.fallbacks):
+                continue
+            err = trace.predicted() - trace.observed()
+            with np.errstate(over="ignore"):
+                rmse = float(np.sqrt(np.mean(err * err)))
+            if rmse < best_rmse:
+                best_omega, best_rmse = float(omega), rmse
     if best_omega is None:
         raise CalibrationFailedError("no grid frequency produced a usable fit")
     return best_omega

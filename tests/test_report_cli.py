@@ -208,3 +208,29 @@ class TestCli:
             main(["--version"])
         assert exc.value.code == 0
         assert "greycast" in capsys.readouterr().out
+
+
+class TestCliShortSeries:
+    def test_compare_trace_output_skips_a_model_that_fails_later(self, tmp_path, capsys):
+        """GM_SC fits day one but not the 5-row day two: its row fails and
+        the trace file holds the other models' rows, each under its day."""
+        path = tmp_path / "two_days.csv"
+        rows = ["timestamp,value"]
+        rows += [f"2020-01-01T{i // 12:02d}:{i % 12 * 5:02d}:00,{20 + i % 7}" for i in range(40)]
+        rows += [f"2020-01-02T00:{i * 5:02d}:00,{20 + i}" for i in range(5)]
+        path.write_text("\n".join(rows) + "\n")
+        trace_path = tmp_path / "traces.csv"
+        code = main(["compare", "--input", str(path), "--models", "GM11,GM_SC,LINEAR",
+                     "--trace-output", str(trace_path)])
+        assert code == EXIT_OK
+        assert "FAILED: series of 5 < window 5 + 1" in capsys.readouterr().out
+        labels = [line.split(",")[:2] for line in trace_path.read_text().splitlines()[1:]]
+        assert labels == ([["2020-01-01", "GM11"]] * 36 + [["2020-01-02", "GM11"]]
+                          + [["2020-01-01", "LINEAR"]] * 36 + [["2020-01-02", "LINEAR"]])
+
+    def test_calibrate_rejects_a_short_series(self, tmp_path, capsys):
+        path = tmp_path / "three.csv"
+        path.write_text("timestamp,value\n1,3.0\n2,4.0\n3,5.0\n")
+        code = main(["calibrate", "GM_C", "--input", str(path)])
+        assert code == EXIT_INVALID_INPUT
+        assert "series of 3 < window 4 + 1" in capsys.readouterr().err
