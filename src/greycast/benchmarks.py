@@ -238,7 +238,7 @@ def forecast_histories(spec, values: np.ndarray, first: int,
     need = spec.min_history
     count = values.size - first + 1
     short = min(max(need - first, 0), count)
-    messages = {i: f"history of {first + i} < required {need}" for i in range(short)}
+    messages = dict(enumerate(_short_messages(first, need)[:short]))
     forecasts = np.full(count, np.nan)
     lo = first + short  # the first history long enough
     if lo <= values.size:
@@ -247,6 +247,12 @@ def forecast_histories(spec, values: np.ndarray, first: int,
                  else sliding_window_view(values, need)[lo - need:])
         forecasts[short:] = _forecast_rows(spec, tails, standard)
     return forecasts, messages
+
+
+@functools.lru_cache(maxsize=64)
+def _short_messages(first: int, need: int) -> Tuple[str, ...]:
+    """The messages of the histories of length first .. need - 1."""
+    return tuple(f"history of {end} < required {need}" for end in range(first, need))
 
 
 def _forecast_one(spec, history, standard: bool = False) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .lstsq import (
     solve_least_squares,
     solve_stacked,
 )
+from .series import all_finite
 
 NON_FINITE_RESIDUALS = "residuals must be finite"
 
@@ -44,10 +45,10 @@ class ResidualSeries:
     start_index: int = 2
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float).copy()
+        arr = np.array(self.values, dtype=float)  # always a copy of its own
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("residual series must be non-empty and 1-d")
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise InvalidInputError(NON_FINITE_RESIDUALS)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -131,7 +132,56 @@ def fit_residual_fourier(residuals: ResidualSeries,
     return FourierResidualModel(a0=float(coef[0]), harmonics=pairs, period=period)
 
 
-@functools.lru_cache(maxsize=64)
+#: Bytes of filter weights that ``correction_weights`` keeps. A roll with
+#: residual window R asks for n = 1..R, 8 n (n - 1) bytes each and about
+#: 8 R^3 / 3 in all: 45 MB at R = 256, so the weights of every R up to 290
+#: stay whole.
+WEIGHT_CACHE_BYTES = 64 * 2 ** 20
+
+
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int  # bytes
+    currsize: int  # entries
+
+
+class _WeightCache:
+    """``compute(n, harmonics)``, kept until the kept results hold
+    ``WEIGHT_CACHE_BYTES``; past that a result is computed and not kept.
+
+    Keeping the first results rather than the latest suits rolls, which ask
+    for n = 1..R in order, roll after roll: when R's weights do not all fit,
+    a roll still finds those that do, where a least-recently-used cache would
+    drop each one just before the next roll asks for it.
+    """
+
+    def __init__(self, compute):
+        functools.update_wrapper(self, compute)
+        self._compute = compute
+        self.cache_clear()
+
+    def __call__(self, n: int, harmonics: int) -> np.ndarray:
+        weights = self._kept.get((n, harmonics))
+        if weights is not None:
+            self._hits += 1
+            return weights
+        self._misses += 1
+        weights = self._compute(n, harmonics)
+        if self._bytes + weights.nbytes <= WEIGHT_CACHE_BYTES:
+            self._kept[n, harmonics] = weights
+            self._bytes += weights.nbytes
+        return weights
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, WEIGHT_CACHE_BYTES, len(self._kept))
+
+    def cache_clear(self) -> None:
+        self._kept = {}
+        self._hits = self._misses = self._bytes = 0
+
+
+@_WeightCache
 def correction_weights(n: int, harmonics: int) -> np.ndarray:
     """Fourier fit and extrapolation of n residuals as one linear filter.
 
@@ -142,8 +192,8 @@ def correction_weights(n: int, harmonics: int) -> np.ndarray:
     rotates each harmonic's (cos, sin) pair, which the least-squares fit
     follows, and the fitted series has period T; so the fit at indices
     0..n-1 serves every k0. A design that ``solve_least_squares`` would
-    reject raises the same ``SingularSystemError``. Each (n, harmonics) is
-    computed once per process and kept in a small cache.
+    reject raises the same ``SingularSystemError``. Results are kept for
+    reuse up to ``WEIGHT_CACHE_BYTES``.
     """
     count = _harmonic_count(n, harmonics)
     period = _period(n)

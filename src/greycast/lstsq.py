@@ -63,7 +63,7 @@ def solve_stacked(designs: np.ndarray, targets: np.ndarray) -> StackedSolution:
     columns = targets if targets.ndim == 3 else targets[:, :, None]
     u, s, vh = np.linalg.svd(designs, full_matrices=False)
     smax, smin = s[:, 0], s[:, -1]
-    if smin.all():
+    if np.count_nonzero(smin) == n:
         condition = smax / smin
     else:  # exactly singular systems: keep zeros out of the divisions below
         singular = smin == 0.0

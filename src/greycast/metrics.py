@@ -25,8 +25,9 @@ def _paired(predicted, observed):
 def rmse(predicted: Sequence[float], observed: Sequence[float]) -> float:
     """Root mean squared error."""
     p, o = _paired(predicted, observed)
-    err = p - o
-    return float(math.sqrt(np.mean(err * err)))
+    with np.errstate(over="ignore"):  # a huge but finite miss gives inf, silently
+        err = p - o
+        return float(math.sqrt(np.mean(err * err)))
 
 
 class MapeResult(NamedTuple):

@@ -30,6 +30,7 @@ e^(-a t). GM(1,1)'s accumulated response is GM_SC with both coefficients 0.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -44,7 +45,7 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .lstsq import singular_error, solve_stacked
-from .series import Series
+from .series import Series, all_finite
 
 # Below this magnitude the development coefficient is treated as exactly zero
 # and the a->0 limit of each closed form is used (b/a pole otherwise).
@@ -134,7 +135,7 @@ class Failures:
     def add(self, where: np.ndarray, error: Callable[[int], GreycastError],
             overflow: bool = False) -> None:
         """Give ``error(i)`` to each window i in ``where`` that has none yet."""
-        if not where.any():
+        if not np.count_nonzero(where):
             return
         new = where & ~self.failed
         for i in np.flatnonzero(new).tolist():
@@ -170,7 +171,9 @@ class WindowFits(NamedTuple):
     and ``b`` is the constant forcing; a coefficient the kind lacks is 0. For
     GM11 ``b`` is the grey input and for GVM the Verhulst coefficient, and
     ``omega`` is None. Each parameter is an (N,) array; those of a window
-    in ``failures`` are not meaningful.
+    in ``failures`` are not meaningful. ``mean`` is the (N, w-1) mean
+    sequence the fit regressed on, which GM_ESC's second stage reuses; a
+    stack that was not fitted here has none.
     """
 
     kind: ModelKind
@@ -182,6 +185,7 @@ class WindowFits(NamedTuple):
     omega: Optional[float]
     window_len: int
     failures: Failures
+    mean: Optional[np.ndarray] = None
 
 
 #: The trigonometric regressors of the jointly fitted kinds, in design order.
@@ -212,13 +216,13 @@ def _solve(fails: Failures, system: np.ndarray) -> np.ndarray:
     if m < p:
         fails.add_all(lambda i: InsufficientDataError(
             f"underdetermined system: {m} rows < {p} columns"))
-    if not np.isfinite(system).all():
+    if not all_finite(system):
         fails.add(~np.isfinite(system).all(axis=(1, 2)),
                   lambda i: InvalidInputError("least-squares entries must be finite"))
     if not fails.errors:
         result = solve_stacked(system[..., :p], system[..., p])
         fails.add(result.rejected, lambda i: singular_error(float(result.condition[i])))
-        return result.solutions.T.copy()
+        return result.solutions.T
     params = np.full((p, n), np.nan)
     rows = np.flatnonzero(~fails.failed)
     if rows.size:
@@ -272,7 +276,8 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
             f"(index {int(np.argmax(nonpositive[i]))})"))
     if fails.errors and fails.failed.all():
         return _all_failed(kind, n, freq, w, fails)
-    z, k = _mean_sequence(x)
+    z = _mean_sequence(x)
+    k = _local_times(w)
     # Design columns, then the targets x0(2..w) as the last column.
     trig = _TRIG_COLUMNS.get(kind, ())
     system = np.empty((n, w - 1, 3 + len(trig)))
@@ -293,16 +298,17 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
         bc = params[1]
     elif kind is ModelKind.GM_SC:
         bs, bc = params[1], params[2]
-    return WindowFits(kind, a, b, bs, bc, x[:, 0], freq, w, fails)
+    return WindowFits(kind, a, b, bs, bc, x[:, 0], freq, w, fails, z)
 
 
 def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = None) -> WindowFits:
     """GM_ESC on the windows that ``stage_one``, GM(1,1)'s fit, was fitted on.
 
     Stage 2 regresses stage 1's residuals on e^(-k a) sin(omega k) and
-    e^(-k a) cos(omega k). A non-positive ``omega`` fails every window first;
-    otherwise a window keeps its stage-1 error. ``stage_one`` is left as it
-    is, so one GM(1,1) fit can serve every frequency.
+    e^(-k a) cos(omega k), over stage 1's own mean sequence. A non-positive
+    ``omega`` fails every window first; otherwise a window keeps its stage-1
+    error. ``stage_one`` is left as it is, so one GM(1,1) fit can serve every
+    frequency.
     """
     x = np.asarray(windows, dtype=float)
     n, w = x.shape
@@ -315,8 +321,8 @@ def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = Non
     if fails.errors and fails.failed.all():
         return _all_failed(ModelKind.GM_ESC, n, freq, w, fails)
     a, b = stage_one.a, stage_one.b
-    z, k = _mean_sequence(x)
-    residuals = x[:, 1:] + a[:, None] * z - b[:, None]
+    k = _local_times(w)
+    residuals = x[:, 1:] + a[:, None] * stage_one.mean - b[:, None]
     damp = np.exp(-a[:, None] * k)
     if not (damp.min() >= 1e-250 and damp.max() < np.inf):
         fails.add(~np.isfinite(damp).all(axis=1) | (np.abs(damp).max(axis=1) < 1e-250),
@@ -335,10 +341,20 @@ def _all_failed(kind: ModelKind, n: int, freq, w: int, fails: Failures) -> Windo
     return WindowFits(kind, nan, nan, nan, nan, nan, freq, w, fails)
 
 
-def _mean_sequence(x: np.ndarray):
-    """Mean sequence z1(k) of each window's accumulation, and k = 2..w."""
+def _mean_sequence(x: np.ndarray) -> np.ndarray:
+    """Mean sequence z1(k), k = 2..w, of each window's accumulation."""
     x1 = np.add.accumulate(x, axis=1)
-    return (x1[:, :-1] + x1[:, 1:]) / 2.0, np.arange(2, x.shape[1] + 1, dtype=float)
+    z = x1[:, :-1] + x1[:, 1:]
+    z /= 2.0
+    return z
+
+
+@functools.lru_cache(maxsize=None)
+def _local_times(w: int) -> np.ndarray:
+    """The local indices k = 2..w of a w-point window's equations (read-only)."""
+    k = np.arange(2, w + 1, dtype=float)
+    k.setflags(write=False)
+    return k
 
 
 # -- closed forms, each written once over arrays -------------------------------
@@ -351,9 +367,11 @@ def _gm11(fits: WindowFits, k) -> np.ndarray:
     a, b, x0 = fits.a, fits.b, fits.x0_1
     if isinstance(k, np.ndarray):
         a, b, x0 = a[:, None], b[:, None], x0[:, None]
-    value = np.where(np.abs(a) <= DEGENERATE_A, b,
-                     (1.0 - np.exp(a)) * (x0 - b / a) * np.exp(-a * k))
-    if not np.isfinite(value).all():
+    value = (1.0 - np.exp(a)) * (x0 - b / a) * np.exp(-a * k)
+    degenerate = np.abs(a) <= DEGENERATE_A
+    if np.count_nonzero(degenerate):
+        value = np.where(degenerate, b, value)
+    if not all_finite(value):
         # An overflowing exponential leaves the forecast non-finite.
         args = np.column_stack([fits.a, (-a * k).reshape(fits.a.size, -1)])
         bad = ~np.isfinite(value).reshape(fits.a.size, -1).all(axis=1)
@@ -374,7 +392,7 @@ def _gvm(fits: WindowFits, k: int) -> np.ndarray:
     e = np.exp(args)  # e^(a(k-1)), e^(a(k-2)), e^a
     d = bx[:, None] + (a - bx)[:, None] * e[:, :2]
     value = (a * x1 * (a - bx) / d[:, 0]) * ((1.0 - e[:, 2]) * e[:, 1] / d[:, 1])
-    if not (np.isfinite(e).all() and (np.abs(d) > GVM_DENOM_FLOOR).all()):
+    if not (all_finite(e) and np.count_nonzero(np.abs(d) > GVM_DENOM_FLOOR) == d.size):
         # The checks of the one-window code, in its order.
         fails.add(_overflowed(args[:, :2]), _overflow_error(fits.kind, a), overflow=True)
         fails.add(np.abs(d[:, 0]) <= GVM_DENOM_FLOOR, lambda i: NumericalDegeneracyError(
@@ -389,7 +407,8 @@ def _particular(fits: WindowFits, t: np.ndarray) -> np.ndarray:
     """Particular solution of the whitenization ODE at continuous times t."""
     a, b, bs, bc = fits.a[:, None], fits.b[:, None], fits.bs[:, None], fits.bc[:, None]
     w = fits.omega
-    s, c = np.sin(w * t), np.cos(w * t)
+    wt = w * t
+    s, c = np.sin(wt), np.cos(wt)
     if fits.kind is ModelKind.GM_ESC:
         return np.exp(-a * t) * (bc * s - bs * c) / w + b / a
     return ((a * bc - bs * w) * c + (a * bs + bc * w) * s) / (a * a + w * w) + b / a
@@ -405,14 +424,14 @@ def _accumulated(fits: WindowFits, t: np.ndarray) -> np.ndarray:
     p = _particular(fits, t)
     value = (x0 - p[:, :1]) * np.exp(-a * (t - 1.0)) + p
     degenerate = np.abs(fits.a) <= DEGENERATE_A
-    if degenerate.any():
+    if np.count_nonzero(degenerate):
         # a -> 0 limit: integrate the forcing directly from t=1.
         w = fits.omega
         bs, bc = fits.bs[:, None], fits.bc[:, None]
         trig = (bs * (math.cos(w) - np.cos(w * t)) + bc * (np.sin(w * t) - math.sin(w))) / w
         limit = x0 + fits.b[:, None] * (t - 1.0) + trig
         value = np.where(degenerate[:, None], limit, value)
-    if not np.isfinite(value).all():
+    if not all_finite(value):
         # An overflowing exponential leaves the response non-finite.
         args = -a * (t - 1.0)
         if fits.kind is ModelKind.GM_ESC:

@@ -31,7 +31,11 @@ length, each distinct fit is solved once, an EF model reads its base model's
 forecasts and messages, and GM_ESC starts stage two from GM11's fits. Shared
 results are read-only, are gone by the time the call returns, and are charged
 to every roll that reads them, so a trace's ``per_step_time`` states what the
-model costs on its own. A roll made outside those calls shares nothing.
+model costs on its own. A roll made outside those calls shares nothing and
+pays nothing for the memo: with no scope open, each memo layer calls its
+computation directly, with no lookup, key or closure. That is the online
+case, one roll over a short trailing history per arrival, where a roll's
+fixed cost is most of its cost.
 """
 from __future__ import annotations
 
@@ -72,7 +76,7 @@ from .models import (
     fitted_windows,
     forecast_windows,
 )
-from .series import Series
+from .series import Series, all_finite
 
 BENCHMARK_NAMES = ("LINEAR", "ARIMA", "SARIMA", "SETAR")
 
@@ -124,10 +128,11 @@ class RollingConfig:
             raise InvalidInputError("EF harmonic cap must be >= 0")
         if self.multi_step < 1:
             raise InvalidInputError("multi_step must be >= 1")
-        parse_model(self.model)
+        # A frozen config parses its model once; every roll reads the parse.
+        object.__setattr__(self, "_parsed", parse_model(self.model))
 
     def effective_window(self) -> int:
-        kind, _, bench = parse_model(self.model)
+        kind, _, bench = self._parsed
         if bench is not None:
             return self.window
         # GM_SC has four parameters; a 4-point window gives only 3 equations.
@@ -168,11 +173,22 @@ def resolve_config(config: RollingConfig, specs=None) -> RollingConfig:
     """``config`` with its benchmark coefficients and its frequency filled in.
 
     A value set in ``config`` wins, then ``specs`` (a ``BenchmarkConfig``),
-    then the packaged defaults of ``load_config()``.
+    then the packaged defaults of ``load_config()``. The packaged defaults
+    never change, so a config that they fill in is filled in once; explicit
+    ``specs`` are applied at every call.
     """
-    kind, _, bench = parse_model(config.model)
-    if specs is None:
-        specs = load_config()
+    if specs is not None:
+        return _resolve(config, specs)
+    resolved = config.__dict__.get("_resolved")
+    if resolved is None:
+        resolved = _resolve(config, load_config())
+        if resolved is not config:
+            object.__setattr__(config, "_resolved", resolved)
+    return resolved
+
+
+def _resolve(config: RollingConfig, specs) -> RollingConfig:
+    kind, _, bench = config._parsed
     if bench is not None:
         if config.benchmark_spec is not None:
             return config
@@ -195,28 +211,33 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
 
     Predictions target 1-based indices w+1 .. n. The returned residuals are
     observed minus emitted prediction; EF variants internally buffer the base
-    model's residuals for the Fourier correction.
+    model's residuals for the Fourier correction. A step whose emitted
+    forecast misses its observation by more than the float range falls back
+    to persistence; a roll whose observation differs from the one before by
+    that much raises ``InvalidInputError``.
     """
     values = series.values
     w = _window(values, config)
     n = values.size
-    kind, ef, bench = parse_model(config.model)
+    kind, ef, bench = config._parsed
     start, borrowed = time.perf_counter(), _borrowed()
     count = n - w
     in_window = ef and config.ef_in_window
     observed = values[w:]
-    with np.errstate(all="ignore"):  # failures are flagged, not warned about
-        if bench is None:
-            raw, fitted, messages = _base_forecasts(values, w, kind, config, in_window)
-        else:
-            # Step j's history is values[:w + j]; the short ones come first.
-            config = resolve_config(config)
-            raw, messages = benchmarks.forecast_histories(
-                config.benchmark_spec, values[:-1], w, config.standard_psi)
-            late = np.flatnonzero(~np.isfinite(raw))[len(messages):]
-            messages.update(dict.fromkeys(late.tolist(), "non-finite forecast"))
+    if bench is None:
+        raw, fitted, messages = _base_forecasts(values, w, kind, config, in_window)
         failed = np.zeros(count, dtype=bool)
-        failed[list(messages)] = True
+        if messages:
+            failed[list(messages)] = True
+    with np.errstate(all="ignore"):  # failures are flagged, not warned about
+        if bench is not None:
+            # Step j's history is values[:w + j]; the short ones come first.
+            raw, messages = benchmarks.forecast_histories(
+                resolve_config(config).benchmark_spec, values[:-1], w, config.standard_psi)
+            failed = ~np.isfinite(raw)
+            if np.count_nonzero(failed) > len(messages):
+                late = np.flatnonzero(failed)[len(messages):]
+                messages.update(dict.fromkeys(late.tolist(), "non-finite forecast"))
         predicted = raw
         if ef:
             if in_window:
@@ -229,19 +250,49 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
             predicted[steps] += corrections
             failed[list(ef_errors)] = True
             messages.update(ef_errors)
+        fallback = values[w - 1:-1]  # persistence
+        if messages:
+            predicted = np.where(failed, fallback, predicted)
+        if config.clamp_nonnegative:
+            predicted = _clamped(predicted)
+        try:
+            residuals = ResidualSeries(observed - predicted, start_index=w + 1)
+        except InvalidInputError:
+            # Some forecast misses by more than the float range: persistence.
+            missed = ~np.isfinite(observed - predicted)
+            if config.clamp_nonnegative:
+                fallback = _clamped(fallback)
+            predicted = np.where(missed, fallback, predicted)
+            misses = observed - predicted
+            if not all_finite(misses):
+                i = w + int(np.argmin(np.isfinite(misses)))
+                raise InvalidInputError(f"values at indices {i - 1} and {i} differ by "
+                                        "more than the float range") from None
+            residuals = ResidualSeries(misses, start_index=w + 1)
+            failed |= missed
+            messages.update(dict.fromkeys(np.flatnonzero(missed).tolist(), RESIDUAL_OVERFLOW))
+    errors = ()
     if messages:
-        predicted = np.where(failed, values[w - 1:-1], predicted)  # persistence
-    if config.clamp_nonnegative:
-        predicted = np.where(predicted < 0.0, 0.0, predicted)
+        steps = np.flatnonzero(failed).tolist()
+        errors = tuple(zip([w + 1 + j for j in steps], map(messages.__getitem__, steps)))
     share = (time.perf_counter() - start + _borrowed() - borrowed) / count
     return ForecastTrace(
         model=config.model,
         predictions=tuple(zip(range(w + 1, n + 1), predicted.tolist(), observed.tolist())),
-        residuals=ResidualSeries(observed - predicted, start_index=w + 1),
+        residuals=residuals,
         per_step_time=(share,) * count,
         fallbacks=tuple(failed.tolist()),
-        errors=tuple((w + 1 + j, messages[j]) for j in sorted(messages)),
+        errors=errors,
     )
+
+
+#: The message of a step whose forecast misses its observation by more than
+#: the float range, which leaves its residual non-finite.
+RESIDUAL_OVERFLOW = "forecast misses the observation by more than the float range"
+
+
+def _clamped(forecasts: np.ndarray) -> np.ndarray:
+    return np.where(forecasts < 0.0, 0.0, forecasts)
 
 
 #: Windows per stacked solve. It bounds a roll's stacked arrays at about 1 MB
@@ -276,14 +327,16 @@ class _SharedFits:
         self.entries = {}
         self.borrowed = 0.0
 
-    def get(self, values: np.ndarray, slot: tuple, omega, compute):
+    def get(self, values: np.ndarray, slot: tuple, omega, compute, args=()):
+        """``compute(*args)``, or the entry it left for ``values``, ``slot``
+        and ``omega``."""
         key = (id(values),) + slot
         entry = self.entries.get(key)
         if entry is not None and entry.values is values and entry.omega == omega:
             self.borrowed += entry.seconds
             return entry.result
         start, before = time.perf_counter(), self.borrowed
-        result = compute()
+        result = compute(*args)
         seconds = time.perf_counter() - start + self.borrowed - before
         self.entries[key] = _Entry(values, omega, result, seconds)
         return result
@@ -310,9 +363,12 @@ def _borrowed() -> float:
     return 0.0 if shared is None else shared.borrowed
 
 
-def _memo(shared: Optional[_SharedFits], values: np.ndarray, slot: tuple, omega, compute):
-    """``compute()``, or its result from an earlier roll of this call."""
-    return compute() if shared is None else shared.get(values, slot, omega, compute)
+def _memo(shared: Optional[_SharedFits], values: np.ndarray, slot: tuple, omega,
+          compute, *args):
+    """``compute(*args)``, or its result from an earlier roll of this call."""
+    if shared is None:
+        return compute(*args)
+    return shared.get(values, slot, omega, compute, args)
 
 
 def _base_forecasts(values: np.ndarray, w: int, kind: ModelKind, config: RollingConfig,
@@ -326,17 +382,18 @@ def _base_forecasts(values: np.ndarray, w: int, kind: ModelKind, config: Rolling
     """
     shared = _SHARED.get()
     omega = config.omega if kind in TRIG_KINDS else None
+    multi_step = config.multi_step
     count = values.size - w
     raw, fitted, messages = [], [], {}
     with np.errstate(all="ignore"):  # failures are flagged, not warned about
         for lo in range(0, count, BATCH_WINDOWS):
             hi = min(lo + BATCH_WINDOWS, count)
-            fits, part, errors = _memo(
-                shared, values, ("base", kind, w, config.multi_step, lo), omega,
-                lambda: _forecast_batch(shared, values, lo, hi, w, kind, omega,
-                                        config.multi_step))
+            fits, part, errors = _memo(shared, values, ("base", kind, w, multi_step, lo),
+                                       omega, _forecast_batch, shared, values, lo, hi, w,
+                                       kind, omega, multi_step)
             raw.append(part)
-            messages.update((lo + i, message) for i, message in errors.items())
+            if errors:
+                messages.update((lo + i, message) for i, message in errors.items())
             if in_window:
                 # The fitted values' own failures count for the windows that
                 # have none yet; the shared fits keep theirs.
@@ -344,11 +401,11 @@ def _base_forecasts(values: np.ndarray, w: int, kind: ModelKind, config: Rolling
                 fitted.append(fitted_windows(fits))
                 for i, exc in fits.failures.errors.items():
                     messages.setdefault(lo + i, str(exc))
+    return _joined(raw), _joined(fitted) if in_window else None, messages
 
-    def join(parts):
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    return join(raw), join(fitted) if in_window else None, messages
+def _joined(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _forecast_batch(shared: Optional[_SharedFits], values: np.ndarray, lo: int, hi: int,
@@ -358,7 +415,7 @@ def _forecast_batch(shared: Optional[_SharedFits], values: np.ndarray, lo: int, 
     # Shared fits keep their own failures; the forecast's go to a copy.
     run = fits if shared is None else fits._replace(failures=fits.failures.copy())
     raw = forecast_windows(run, multi_step)
-    if not np.isfinite(raw).all():
+    if not all_finite(raw):
         run.failures.add(~np.isfinite(raw), lambda i: InvalidInputError("non-finite forecast"))
     raw.setflags(write=False)
     return fits, raw, {i: str(exc) for i, exc in run.failures.errors.items()}
@@ -367,15 +424,17 @@ def _forecast_batch(shared: Optional[_SharedFits], values: np.ndarray, lo: int, 
 def _window_fits(shared: Optional[_SharedFits], values: np.ndarray, lo: int, hi: int, w: int,
                  kind: ModelKind, omega: Optional[float]) -> WindowFits:
     """``kind`` fitted on windows lo..hi-1; GM_ESC starts from GM11's fits."""
-    def fit():
-        windows = _memo(shared, values, ("windows", w, lo), None,
-                        lambda: _gather(values, lo, hi, w))
-        if kind is ModelKind.GM_ESC:
-            stage_one = _window_fits(shared, values, lo, hi, w, ModelKind.GM11, None)
-            return fit_esc_windows(stage_one, windows, omega)
-        return fit_windows(kind, windows, omega)
+    return _memo(shared, values, ("fits", kind, w, lo), omega,
+                 _fit_batch, shared, values, lo, hi, w, kind, omega)
 
-    return _memo(shared, values, ("fits", kind, w, lo), omega, fit)
+
+def _fit_batch(shared: Optional[_SharedFits], values: np.ndarray, lo: int, hi: int, w: int,
+               kind: ModelKind, omega: Optional[float]) -> WindowFits:
+    windows = _memo(shared, values, ("windows", w, lo), None, _gather, values, lo, hi, w)
+    if kind is ModelKind.GM_ESC:
+        stage_one = _window_fits(shared, values, lo, hi, w, ModelKind.GM11, None)
+        return fit_esc_windows(stage_one, windows, omega)
+    return fit_windows(kind, windows, omega)
 
 
 def _gather(values: np.ndarray, lo: int, hi: int, w: int) -> np.ndarray:

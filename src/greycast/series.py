@@ -14,9 +14,15 @@ from .errors import InsufficientDataError, InvalidInputError
 
 
 def _as_readonly_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).copy()
+    arr = np.array(values, dtype=float)  # always a copy of its own
     arr.setflags(write=False)
     return arr
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite (counting beats ``.all()`` on
+    the short arrays of an online roll)."""
+    return np.count_nonzero(np.isfinite(arr)) == arr.size
 
 
 @dataclass(frozen=True)
@@ -36,9 +42,9 @@ class Series:
         arr = _as_readonly_array(self.values)
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("series must be a non-empty 1-d sequence")
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise InvalidInputError(f"non-finite value at index {bad[0]}")
+        if not all_finite(arr):
+            bad = int(np.argmin(np.isfinite(arr)))
+            raise InvalidInputError(f"non-finite value at index {bad}")
         if not (self.interval > 0):
             raise InvalidInputError("sampling interval must be positive")
         object.__setattr__(self, "values", arr)
