@@ -47,7 +47,8 @@ def mape(predicted: Sequence[float], observed: Sequence[float]) -> MapeResult:
     excluded = int(np.size(keep) - np.count_nonzero(keep))
     if not keep.any():
         return MapeResult(0.0, excluded)
-    value = float(np.mean(np.abs((p[keep] - o[keep]) / o[keep])) * 100.0)
+    with np.errstate(over="ignore"):  # a huge but finite miss gives inf, silently
+        value = float(np.mean(np.abs((p[keep] - o[keep]) / o[keep])) * 100.0)
     return MapeResult(value, excluded)
 
 

@@ -3,13 +3,12 @@
 ``compare`` rolls every (model, series) pair through ``roll_forecast``,
 series by series, each series inside one ``rolling._sharing`` scope: each
 distinct grey fit of a series is solved once, and every trace equals the
-standalone roll's.
+standalone roll's. A model's compute time is read from its traces.
 """
 from __future__ import annotations
 
 import io
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,8 +38,8 @@ class ModelRow:
     rmse: float
     mape: float  # percent
     excluded_pairs: int
-    # Mean seconds per series that the model costs on its own: a roll's wall
-    # time plus the compute time of the shared fits and forecasts it read.
+    # Mean seconds per series that the model costs on its own: the sum of a
+    # trace's ``per_step_time``, which includes the shared fits it read.
     compute_time: float
     series_count: int
     failed: bool = False
@@ -71,9 +70,9 @@ def compare(dataset: Dataset, models: Sequence[str] = ALL_MODEL_NAMES,
     Returns the report plus the per-(series, model) traces of the models
     that did not fail, model by model.
 
-    The rolls of one series share their work: each distinct grey fit is
-    solved once, an EF model reads its base model's forecasts and GM_ESC
-    starts from GM11's fits. Nothing is kept once the series is done.
+    The rolls of one series share their fits: each distinct grey fit is
+    solved once, an EF model evaluates its base model's fits and GM_ESC
+    starts from GM11's. Nothing is kept once the series is done.
     """
     base = config if config is not None else RollingConfig()
     configs = []
@@ -85,53 +84,42 @@ def compare(dataset: Dataset, models: Sequence[str] = ALL_MODEL_NAMES,
             if kind in omegas:
                 cfg = replace(cfg, omega=float(omegas[kind]))
         configs.append(cfg)
-    runs: List[List[Tuple[ForecastTrace, float]]] = [[] for _ in configs]
+    runs: List[List[ForecastTrace]] = [[] for _ in configs]
     failures: List[Optional[str]] = [None] * len(configs)
     for series in dataset.series:
-        with _sharing() as shared:
+        with _sharing():
             for m, cfg in enumerate(configs):
                 if failures[m] is not None:
                     continue  # a model stops at the first series it fails on
                 try:
-                    t0, borrowed = time.perf_counter(), shared.borrowed
-                    trace = roll_forecast(series, cfg)
-                    # What the roll read from earlier rolls is part of its cost.
-                    runs[m].append((trace, time.perf_counter() - t0 + shared.borrowed - borrowed))
+                    runs[m].append(roll_forecast(series, cfg))
                 except GreycastError as exc:
                     failures[m] = str(exc)
     rows = [_row(cfg.model, own, failure, len(dataset.series))
             for cfg, own, failure in zip(configs, runs, failures)]
     traces = [trace for own, failure in zip(runs, failures) if failure is None
-              for trace, _ in own]
+              for trace in own]
 
     report = EvalReport(rows=tuple(rows))
     names = {row.model for row in rows if not row.failed}
     if IMPROVEMENT_REFERENCE in names and IMPROVEMENT_CANDIDATE in names:
-        ref, cand = None, None
-        for row in rows:
-            if row.model == IMPROVEMENT_REFERENCE:
-                ref = row
-            elif row.model == IMPROVEMENT_CANDIDATE:
-                cand = row
+        ref, cand = report.row(IMPROVEMENT_REFERENCE), report.row(IMPROVEMENT_CANDIDATE)
         if ref.rmse > 0 and ref.mape > 0:
-            report = EvalReport(
-                rows=tuple(rows),
-                improvement_rmse=improvement(ref.rmse, cand.rmse),
-                improvement_mape=improvement(ref.mape, cand.mape),
-            )
+            report = replace(report, improvement_rmse=improvement(ref.rmse, cand.rmse),
+                             improvement_mape=improvement(ref.mape, cand.mape))
     return report, traces
 
 
-def _row(model: str, runs: List[Tuple[ForecastTrace, float]], failure: Optional[str],
+def _row(model: str, traces: List[ForecastTrace], failure: Optional[str],
          series_count: int) -> ModelRow:
-    """One model's row from its (trace, seconds) per series."""
+    """One model's row from its trace per series."""
     if failure is not None:
         return ModelRow(model, math.nan, math.nan, 0, math.nan, series_count,
                         failed=True, message=failure)
     per_rmse: List[float] = []
     per_mape: List[float] = []
     excluded = 0
-    for trace, _ in runs:
+    for trace in traces:
         predicted, observed = trace.predicted(), trace.observed()
         per_rmse.append(rmse(predicted, observed))
         result = mape(predicted, observed)
@@ -142,7 +130,7 @@ def _row(model: str, runs: List[Tuple[ForecastTrace, float]], failure: Optional[
         rmse=float(np.mean(sorted(per_rmse))),
         mape=float(np.mean(sorted(per_mape))),
         excluded_pairs=excluded,
-        compute_time=float(np.mean([seconds for _, seconds in runs])),
+        compute_time=float(np.mean([sum(trace.per_step_time) for trace in traces])),
         series_count=series_count,
     )
 

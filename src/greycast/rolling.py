@@ -26,16 +26,16 @@ buffer length, the harmonic count and the step's offset from the buffer's
 first index.
 
 Within one ``report.compare`` or ``calibrate_omega`` call the rolls share
-their work (``_sharing``): a series' windows are gathered once per window
-length, each distinct fit is solved once, an EF model reads its base model's
-forecasts and messages, and GM_ESC starts stage two from GM11's fits. Shared
-results are read-only, are gone by the time the call returns, and are charged
-to every roll that reads them, so a trace's ``per_step_time`` states what the
-model costs on its own. A roll made outside those calls shares nothing and
-pays nothing for the memo: with no scope open, each memo layer calls its
-computation directly, with no lookup, key or closure. That is the online
-case, one roll over a short trailing history per arrival, where a roll's
-fixed cost is most of its cost.
+their fits (``_sharing``): each distinct fit of a (kind, window length, batch,
+ω) is solved once. An EF model evaluates its base model's fits, and GM_ESC
+starts stage two from GM11's fits. A roll adds its own forecast failures to a
+copy of a shared fit's, so nothing it finds shows in another roll. Shared
+fits are gone by the time the call returns, and are charged to every roll
+that reads them, so a trace's ``per_step_time`` states what the model costs
+on its own. A roll made outside those calls shares nothing and pays nothing
+for the memo: with no scope open, it fits its windows directly, with no
+lookup, key or copy. That is the online case, one roll over a short trailing
+history per arrival, where a roll's fixed cost is most of its cost.
 """
 from __future__ import annotations
 
@@ -68,7 +68,6 @@ from .models import (
     EF_NAME,
     MIN_WINDOW,
     TRIG_KINDS,
-    Failures,
     ModelKind,
     WindowFits,
     fit_esc_windows,
@@ -309,14 +308,16 @@ class _Entry(NamedTuple):
 
 
 class _SharedFits:
-    """Windows, fits and base forecasts that the rolls of one call share.
+    """The window fits that the rolls of one call share.
 
     ``report.compare`` opens one per series and ``calibrate_omega`` one for
-    the call (``_sharing``); a roll made anywhere else finds none and
-    computes everything itself. An entry holds the series' values array and
-    matches only that very array (``is``), never another array that happens
-    to get its id. A slot keeps one entry, the one for the latest ω, so a
-    calibration grid replaces entries instead of piling them up.
+    the call (``_sharing``); a roll made anywhere else finds none and fits
+    its windows itself. An entry is the fit of one (kind, window length,
+    batch, ω): an EF model reads its base model's fits and GM_ESC reads
+    GM11's. It holds the series' values array and matches only that very
+    array (``is``), never another array that happens to get its id. A slot
+    keeps one entry, the one for the latest ω, so a calibration grid replaces
+    entries instead of piling them up.
 
     ``borrowed`` adds up the compute seconds of every entry read instead of
     computed. A roll adds what it borrowed to its own time, so its timings
@@ -342,7 +343,7 @@ class _SharedFits:
         return result
 
 
-#: The shared results of the compare or calibrate call in progress, if any.
+#: The shared fits of the compare or calibrate call in progress, if any.
 #: A context variable, so that calls on other threads share nothing.
 _SHARED: ContextVar[Optional[_SharedFits]] = ContextVar("greycast_shared_fits",
                                                         default=None)
@@ -350,7 +351,7 @@ _SHARED: ContextVar[Optional[_SharedFits]] = ContextVar("greycast_shared_fits",
 
 @contextmanager
 def _sharing():
-    """Share windows, fits and base forecasts between the rolls made inside."""
+    """Share window fits between the rolls made inside."""
     token = _SHARED.set(_SharedFits())
     try:
         yield _SHARED.get()
@@ -363,44 +364,33 @@ def _borrowed() -> float:
     return 0.0 if shared is None else shared.borrowed
 
 
-def _memo(shared: Optional[_SharedFits], values: np.ndarray, slot: tuple, omega,
-          compute, *args):
-    """``compute(*args)``, or its result from an earlier roll of this call."""
-    if shared is None:
-        return compute(*args)
-    return shared.get(values, slot, omega, compute, args)
-
-
 def _base_forecasts(values: np.ndarray, w: int, kind: ModelKind, config: RollingConfig,
                     in_window: bool):
     """Raw forecast and (for in-window EF) fitted values of every window, and
     {step: message} of the failed ones.
 
     Window j is values[j:j+w]; it predicts 1-based target w+1+j. An EF model
-    reads its base model's forecasts, which the base's own roll may have
-    computed already.
+    evaluates its base model's fits, which the base's own roll may have
+    solved already.
     """
     shared = _SHARED.get()
     omega = config.omega if kind in TRIG_KINDS else None
-    multi_step = config.multi_step
     count = values.size - w
     raw, fitted, messages = [], [], {}
     with np.errstate(all="ignore"):  # failures are flagged, not warned about
         for lo in range(0, count, BATCH_WINDOWS):
-            hi = min(lo + BATCH_WINDOWS, count)
-            fits, part, errors = _memo(shared, values, ("base", kind, w, multi_step, lo),
-                                       omega, _forecast_batch, shared, values, lo, hi, w,
-                                       kind, omega, multi_step)
+            fits = _fits(values, lo, min(lo + BATCH_WINDOWS, count), w, kind, omega)
+            if shared is not None:
+                # A shared fit keeps its own failures; this roll's go to a copy.
+                fits = fits._replace(failures=fits.failures.copy())
+            part = forecast_windows(fits, config.multi_step)
+            if not all_finite(part):
+                fits.failures.add(~np.isfinite(part),
+                                  lambda i: InvalidInputError("non-finite forecast"))
             raw.append(part)
-            if errors:
-                messages.update((lo + i, message) for i, message in errors.items())
             if in_window:
-                # The fitted values' own failures count for the windows that
-                # have none yet; the shared fits keep theirs.
-                fits = fits._replace(failures=Failures(hi - lo))
                 fitted.append(fitted_windows(fits))
-                for i, exc in fits.failures.errors.items():
-                    messages.setdefault(lo + i, str(exc))
+            messages.update((lo + i, str(exc)) for i, exc in fits.failures.errors.items())
     return _joined(raw), _joined(fitted) if in_window else None, messages
 
 
@@ -408,40 +398,24 @@ def _joined(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _forecast_batch(shared: Optional[_SharedFits], values: np.ndarray, lo: int, hi: int,
-                    w: int, kind: ModelKind, omega: Optional[float], multi_step: int):
-    """Fits, read-only raw forecasts and {window: message} of windows lo..hi-1."""
-    fits = _window_fits(shared, values, lo, hi, w, kind, omega)
-    # Shared fits keep their own failures; the forecast's go to a copy.
-    run = fits if shared is None else fits._replace(failures=fits.failures.copy())
-    raw = forecast_windows(run, multi_step)
-    if not all_finite(raw):
-        run.failures.add(~np.isfinite(raw), lambda i: InvalidInputError("non-finite forecast"))
-    raw.setflags(write=False)
-    return fits, raw, {i: str(exc) for i, exc in run.failures.errors.items()}
+def _fits(values: np.ndarray, lo: int, hi: int, w: int, kind: ModelKind,
+          omega: Optional[float]) -> WindowFits:
+    """``kind`` fitted on windows lo..hi-1, or the fit an earlier roll of the
+    open ``_sharing`` scope left."""
+    shared = _SHARED.get()
+    if shared is None:
+        return _fit(values, lo, hi, w, kind, omega)
+    return shared.get(values, (kind, w, lo), omega, _fit, (values, lo, hi, w, kind, omega))
 
 
-def _window_fits(shared: Optional[_SharedFits], values: np.ndarray, lo: int, hi: int, w: int,
-                 kind: ModelKind, omega: Optional[float]) -> WindowFits:
-    """``kind`` fitted on windows lo..hi-1; GM_ESC starts from GM11's fits."""
-    return _memo(shared, values, ("fits", kind, w, lo), omega,
-                 _fit_batch, shared, values, lo, hi, w, kind, omega)
-
-
-def _fit_batch(shared: Optional[_SharedFits], values: np.ndarray, lo: int, hi: int, w: int,
-               kind: ModelKind, omega: Optional[float]) -> WindowFits:
-    windows = _memo(shared, values, ("windows", w, lo), None, _gather, values, lo, hi, w)
-    if kind is ModelKind.GM_ESC:
-        stage_one = _window_fits(shared, values, lo, hi, w, ModelKind.GM11, None)
-        return fit_esc_windows(stage_one, windows, omega)
-    return fit_windows(kind, windows, omega)
-
-
-def _gather(values: np.ndarray, lo: int, hi: int, w: int) -> np.ndarray:
+def _fit(values: np.ndarray, lo: int, hi: int, w: int, kind: ModelKind,
+         omega: Optional[float]) -> WindowFits:
     # A batch of one (the online case) is a view; others are gathered.
-    if hi - lo == 1:
-        return values[None, lo:lo + w]
-    return values[np.arange(lo, hi)[:, None] + np.arange(w)]
+    windows = (values[None, lo:lo + w] if hi - lo == 1
+               else values[np.arange(lo, hi)[:, None] + np.arange(w)])
+    if kind is ModelKind.GM_ESC:
+        return fit_esc_windows(_fits(values, lo, hi, w, ModelKind.GM11, None), windows, omega)
+    return fit_windows(kind, windows, omega)
 
 
 def _row_dots(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -523,6 +497,10 @@ def _in_window_corrections(values: np.ndarray, w: int, fitted: np.ndarray,
     return ok[finite], _row_dots(weights[n % weights.shape[0]], windows[finite]), errors
 
 
+#: The most candidates a grid may hold; the default grid has 2,000.
+MAX_GRID_CANDIDATES = 1_000_000
+
+
 @dataclass(frozen=True)
 class OmegaGrid:
     """Inclusive arithmetic grid of candidate angular frequencies."""
@@ -532,8 +510,10 @@ class OmegaGrid:
     step: float = 0.05
 
     def __post_init__(self):
-        if not (self.lo > 0 and self.hi >= self.lo and self.step > 0):
-            raise InvalidInputError("grid needs 0 < lo <= hi and step > 0")
+        if not (0 < self.lo <= self.hi < math.inf and 0 < self.step < math.inf):
+            raise InvalidInputError("grid needs 0 < lo <= hi and step > 0, all finite")
+        if (self.hi - self.lo) / self.step + 1e-9 >= MAX_GRID_CANDIDATES:
+            raise InvalidInputError(f"grid holds more than {MAX_GRID_CANDIDATES} candidates")
 
     def candidates(self) -> np.ndarray:
         count = int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
