@@ -128,9 +128,9 @@ def _write(text: str, path: Optional[str]) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _cmd_forecast(args) -> int:
+def _cmd_forecast(args, specs) -> int:
     config = replace(_rolling_config(args, args.model), multi_step=args.steps)
-    config = resolve_config(config, load_config(args.config))
+    config = resolve_config(config, specs)
     dataset = ingest_csv(args.input)
     trace = roll_forecast(dataset.series[0], config)
     text = format_trace_csv([trace], [dataset.series[0].label])
@@ -138,7 +138,7 @@ def _cmd_forecast(args) -> int:
     return EXIT_OK
 
 
-def _cmd_calibrate(args) -> int:
+def _cmd_calibrate(args, specs) -> int:
     try:
         lo, hi, step = (float(p) for p in args.grid.split(":"))
     except ValueError:
@@ -153,8 +153,7 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
-    specs = load_config(args.config)
+def _cmd_evaluate(args, specs) -> int:
     config = _rolling_config(args, args.model)
     dataset = ingest_csv(args.input)
     report, _ = compare(dataset, models=[args.model], config=config, specs=specs)
@@ -163,8 +162,7 @@ def _cmd_evaluate(args) -> int:
     return EXIT_INVALID_INPUT if row.failed else EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    specs = load_config(args.config)
+def _cmd_compare(args, specs) -> int:
     config = _rolling_config(args, "GM11")
     models = (list(ALL_MODEL_NAMES) if args.models is None
               else [m.strip() for m in args.models.split(",") if m.strip()])
@@ -182,7 +180,7 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args, specs) -> int:
     params = {}
     for item in args.params:
         if "=" not in item:
@@ -206,7 +204,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "synth": _cmd_synth,
     }
     try:
-        return handlers[args.command](args)
+        # Read for every subcommand, so that each rejects a bad file alike.
+        specs = load_config(args.config)
+        return handlers[args.command](args, specs)
     except CalibrationFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION

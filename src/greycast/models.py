@@ -3,12 +3,22 @@
 Each model is fit on a short rolling window (w >= 4) by least squares on the
 grey "basic form" x0(k) + a*z1(k) = rhs(k), then forecast through the closed
 solution of the matching whitenization ODE dx1/dt + a*x1 = rhs(t) with initial
-condition x1(1) = x0(1). Forecasts in original units are first differences of
-that accumulated response. The trigonometric closed forms are derived directly
+condition x1(1) = x0(1). The trigonometric closed forms are derived directly
 from the ODEs and validated against high-order numerical integration in the
-tests; differencing the accumulated solution is the normative route for every
-variant (single-line difference shortcuts are easy to get wrong — they tend to
-mix integration constants or drop factors of ``a`` in exponents).
+tests.
+
+GM(1,1) and the four trigonometric models share one closed form, ``_increment``:
+D(u, s) = x1hat(u+s) - x1hat(u), the growth of the accumulated response over
+s time units. A forecast or in-window fitted value x0hat(k+1) is D(k, 1), and
+the accumulated response x1hat(t) is x0(1) + D(1, t-1). The form is written
+with ``expm1``, so it neither forms the particular solution's b/a term nor
+differences two accumulated values: it keeps full relative precision as a
+approaches 0 (where it holds as it stands, with no separate limit) and over
+long horizons (Higham, *Accuracy and Stability of Numerical Algorithms*,
+§1.14.1). The trigonometric part q(t) of the particular solution is GM_SC's:
+GM_S and GM_C are GM_SC with the unused trig coefficient 0, GM_ESC damps the
+same two terms by e^(-a t), and GM(1,1) has none. GVM keeps its classic
+product form.
 
 Time is the within-window index: each window restarts at k = 1..w, and the
 trigonometric regressors use sin(omega*k)/cos(omega*k) at those local indices.
@@ -22,10 +32,6 @@ the same point. ``fit_model``, ``forecast``, ``forecast_gm11``,
 ``fitted_values`` are the one-window case: they evaluate a stack of one.
 GM_ESC's fit is GM(1,1)'s fit followed by ``fit_esc_windows``, which leaves
 the GM(1,1) fits as they are, so one stage one can serve every frequency.
-
-The trigonometric family shares GM_SC's closed form: GM_S and GM_C are GM_SC
-with the unused trig coefficient 0, and GM_ESC damps the same two terms by
-e^(-a t). GM(1,1)'s accumulated response is GM_SC with both coefficients 0.
 """
 from __future__ import annotations
 
@@ -48,7 +54,8 @@ from .lstsq import singular_error, solve_stacked
 from .series import Series, all_finite
 
 # Below this magnitude the development coefficient is treated as exactly zero
-# and the a->0 limit of each closed form is used (b/a pole otherwise).
+# by the integration constant K, which splits off a b/a term and is undefined
+# at a = 0. The closed form needs no such threshold.
 DEGENERATE_A = 1e-12
 
 # Denominator guard for the Verhulst product form.
@@ -359,24 +366,54 @@ def _local_times(w: int) -> np.ndarray:
 
 # -- closed forms, each written once over arrays -------------------------------
 
-def _gm11(fits: WindowFits, k) -> np.ndarray:
-    """x0hat(k+1) = (1 - e^a)(x0(1) - b/a) e^(-a k), or b when a is degenerate.
+def _trig_part(fits: WindowFits):
+    """q(t), the trigonometric part of the particular solution, of every
+    window at a time t (a number). The particular solution is q(t) + b/a."""
+    a, bs, bc, w = fits.a, fits.bs, fits.bc, fits.omega
+    if fits.kind is ModelKind.GM_ESC:
+        # e^(-a t) (bc sin(w t) - bs cos(w t)) / w
+        cos_part, sin_part = bs / -w, bc / w
+        return lambda t: np.exp(a * -t) * (cos_part * math.cos(w * t)
+                                           + sin_part * math.sin(w * t))
+    # ((a bc - bs w) cos(w t) + (a bs + bc w) sin(w t)) / (a^2 + w^2)
+    den = a * a + w * w
+    cos_part, sin_part = (a * bc - bs * w) / den, (a * bs + bc * w) / den
+    return lambda t: cos_part * math.cos(w * t) + sin_part * math.sin(w * t)
 
-    ``k`` is a local index, or a row of them (one output column each).
+
+def _increment(fits: WindowFits, u: float, s: float) -> np.ndarray:
+    """D(u, s) = x1hat(u+s) - x1hat(u), the growth of the accumulated response
+    from time u to u + s, of every window of a kind other than GVM.
+
+    With x = -a s and q the trigonometric part of the particular solution
+    (none for GM11),
+
+        D = e^(-a(u-1)) [(x0(1) - q(1)) (e^x - 1) + b s (e^x - 1)/x] + q(u+s) - q(u).
+
+    e^x - 1 is ``expm1``, and (e^x - 1)/x takes its limit 1 at x = 0, so no
+    term of size b/a is formed and no accumulated value is differenced; the
+    form holds as it stands at a = 0. A window whose value is not finite
+    because an exponential overflows gets the error of an overflowing
+    ``math.exp``.
     """
     a, b, x0 = fits.a, fits.b, fits.x0_1
-    if isinstance(k, np.ndarray):
-        a, b, x0 = a[:, None], b[:, None], x0[:, None]
-    value = (1.0 - np.exp(a)) * (x0 - b / a) * np.exp(-a * k)
-    degenerate = np.abs(a) <= DEGENERATE_A
-    if np.count_nonzero(degenerate):
-        value = np.where(degenerate, b, value)
+    x = a * -s
+    growth = np.expm1(x)
+    ratio = growth / x
+    if np.count_nonzero(x) < x.size:
+        ratio[x == 0] = 1.0
+    if fits.kind is ModelKind.GM11:
+        value = np.exp(a * (1.0 - u)) * (x0 * growth + b * s * ratio)
+    else:
+        q = _trig_part(fits)
+        value = (np.exp(a * (1.0 - u)) * ((x0 - q(1.0)) * growth + b * s * ratio)
+                 + (q(u + s) - q(u)))
     if not all_finite(value):
-        # An overflowing exponential leaves the forecast non-finite.
-        args = np.column_stack([fits.a, (-a * k).reshape(fits.a.size, -1)])
-        bad = ~np.isfinite(value).reshape(fits.a.size, -1).all(axis=1)
-        fits.failures.add(bad & (np.abs(fits.a) > DEGENERATE_A) & _overflowed(args),
-                          _overflow_error(fits.kind, fits.a), overflow=True)
+        exponents = [x, a * (1.0 - u - s)]
+        if fits.kind is ModelKind.GM_ESC:
+            exponents.append(a * -(u + s))
+        fits.failures.add(~np.isfinite(value) & _overflowed(np.column_stack(exponents)),
+                          _overflow_error(fits.kind, a), overflow=True)
     return value
 
 
@@ -403,45 +440,6 @@ def _gvm(fits: WindowFits, k: int) -> np.ndarray:
     return value
 
 
-def _particular(fits: WindowFits, t: np.ndarray) -> np.ndarray:
-    """Particular solution of the whitenization ODE at continuous times t."""
-    a, b, bs, bc = fits.a[:, None], fits.b[:, None], fits.bs[:, None], fits.bc[:, None]
-    w = fits.omega
-    wt = w * t
-    s, c = np.sin(wt), np.cos(wt)
-    if fits.kind is ModelKind.GM_ESC:
-        return np.exp(-a * t) * (bc * s - bs * c) / w + b / a
-    return ((a * bc - bs * w) * c + (a * bs + bc * w) * s) / (a * a + w * w) + b / a
-
-
-def _accumulated(fits: WindowFits, t: np.ndarray) -> np.ndarray:
-    """Closed-form accumulated response x1hat(t), with x1hat(1) = x0(1).
-
-    Rows are windows and columns the times ``t``, of which the first must be
-    1. A window whose exponential overflows is reported to ``fits.failures``.
-    """
-    a, x0 = fits.a[:, None], fits.x0_1[:, None]
-    p = _particular(fits, t)
-    value = (x0 - p[:, :1]) * np.exp(-a * (t - 1.0)) + p
-    degenerate = np.abs(fits.a) <= DEGENERATE_A
-    if np.count_nonzero(degenerate):
-        # a -> 0 limit: integrate the forcing directly from t=1.
-        w = fits.omega
-        bs, bc = fits.bs[:, None], fits.bc[:, None]
-        trig = (bs * (math.cos(w) - np.cos(w * t)) + bc * (np.sin(w * t) - math.sin(w))) / w
-        limit = x0 + fits.b[:, None] * (t - 1.0) + trig
-        value = np.where(degenerate[:, None], limit, value)
-    if not all_finite(value):
-        # An overflowing exponential leaves the response non-finite.
-        args = -a * (t - 1.0)
-        if fits.kind is ModelKind.GM_ESC:
-            args = np.column_stack([args, -a * t])
-        bad = ~np.isfinite(value).all(axis=1) & ~degenerate
-        fits.failures.add(bad & _overflowed(args), _overflow_error(fits.kind, fits.a),
-                          overflow=True)
-    return value
-
-
 def forecast_windows(fits: WindowFits, steps_ahead: int = 1) -> np.ndarray:
     """``steps_ahead`` forecast past every window, without refitting.
 
@@ -451,27 +449,22 @@ def forecast_windows(fits: WindowFits, steps_ahead: int = 1) -> np.ndarray:
     if steps_ahead < 1:
         fits.failures.add_all(lambda i: InvalidInputError("steps_ahead must be >= 1"))
         return np.full(fits.a.size, np.nan)
-    k = fits.window_len + steps_ahead - 1
-    if fits.kind is ModelKind.GM11:
-        return _gm11(fits, k)
+    return _one_step(fits, fits.window_len + steps_ahead - 1)
+
+
+def fitted_windows(fits: WindowFits) -> np.ndarray:
+    """In-window one-step fitted values for local indices k = 2..w, (N, w-1)."""
+    return np.column_stack([_one_step(fits, k) for k in range(1, fits.window_len)])
+
+
+def _one_step(fits: WindowFits, k: int) -> np.ndarray:
+    """x0hat(k+1) of every window: D(k, 1), or GVM's product form."""
     if fits.kind is ModelKind.GVM:
         # The product form is indexed one step early relative to the other
         # models; k+1 pairs its leading denominator with the latest
         # accumulated value.
         return _gvm(fits, k + 1)
-    acc = _accumulated(fits, np.array([1.0, k, k + 1.0]))
-    return acc[:, 2] - acc[:, 1]
-
-
-def fitted_windows(fits: WindowFits) -> np.ndarray:
-    """In-window one-step fitted values for local indices k = 2..w, (N, w-1)."""
-    w = fits.window_len
-    if fits.kind is ModelKind.GM11:
-        return _gm11(fits, np.arange(1, w))
-    if fits.kind is ModelKind.GVM:
-        return np.column_stack([_gvm(fits, k) for k in range(2, w + 1)])
-    acc = _accumulated(fits, np.arange(1.0, w + 1.0))
-    return acc[:, 1:] - acc[:, :-1]
+    return _increment(fits, k, 1.0)
 
 
 # -- the one-window case --------------------------------------------------------
@@ -482,26 +475,21 @@ def _window_values(window) -> np.ndarray:
 
 
 def _stack_of_one(fit: GreyFit) -> WindowFits:
-    """A GreyFit as a stack of one window, trig coefficients in GM_SC form.
-
-    GM11 and GVM have no trig terms; their frequency is set to 1, which
-    makes GM11's accumulated response GM_SC's with both coefficients 0.
-    """
+    """A GreyFit as a stack of one window, trig coefficients in GM_SC form."""
     if fit.kind in (ModelKind.GM11, ModelKind.GVM):
-        b, bs, bc, omega = fit.b, 0.0, 0.0, 1.0
+        b, bs, bc = fit.b, 0.0, 0.0
     elif fit.kind is ModelKind.GM_S:
-        b, bs, bc, omega = fit.b2, fit.b1, 0.0, fit.omega
+        b, bs, bc = fit.b2, fit.b1, 0.0
     elif fit.kind is ModelKind.GM_C:
-        b, bs, bc, omega = fit.b2, 0.0, fit.b1, fit.omega
+        b, bs, bc = fit.b2, 0.0, fit.b1
     else:
-        b, bs, bc, omega = fit.b3, fit.b1, fit.b2, fit.omega
+        b, bs, bc = fit.b3, fit.b1, fit.b2
     a, b, bs, bc, x0 = (np.array([float(v)]) for v in (fit.a, b, bs, bc, fit.x0_1))
-    return WindowFits(fit.kind, a, b, bs, bc, x0, float(omega), fit.window_len,
-                      Failures(1))
+    return WindowFits(fit.kind, a, b, bs, bc, x0, fit.omega, fit.window_len, Failures(1))
 
 
 def _integration_constant(fits: WindowFits) -> Optional[float]:
-    """K = e^a (x0(1) - particular(1)), i.e. x1(t) = K e^(-a t) + particular(t).
+    """K = e^a (x0(1) - q(1) - b/a), i.e. x1(t) = K e^(-a t) + q(t) + b/a.
 
     Undefined (None) for a degenerate development coefficient, where the
     homogeneous/particular split has a b/a pole, and where e^a or the
@@ -516,7 +504,8 @@ def _integration_constant(fits: WindowFits) -> Optional[float]:
             math.exp(-a)
     except OverflowError:
         return None
-    return scale * (float(fits.x0_1[0]) - float(_particular(fits, np.ones(1))[0, 0]))
+    q1 = float(_trig_part(fits)(1.0)[0])
+    return scale * (float(fits.x0_1[0]) - q1 - float(fits.b[0]) / a)
 
 
 def fit_model(kind: ModelKind, window, omega: Optional[float] = None) -> GreyFit:
@@ -573,8 +562,8 @@ def _one_window(fit: GreyFit, evaluate, overflow_error: bool = True):
 
 
 def forecast_gm11(fit: GreyFit, k: int) -> float:
-    """One-step forecast x0hat(k+1) = (1 - e^a)(x0(1) - b/a) e^(-a k)."""
-    return float(_one_window(fit, lambda fits: _gm11(fits, k)))
+    """One-step forecast x0hat(k+1) = (1 - e^a)(x0(1) - b/a) e^(-a k), as D(k, 1)."""
+    return float(_one_window(fit, lambda fits: _increment(fits, k, 1.0)))
 
 
 def forecast_gvm(fit: GreyFit, k: int) -> float:
@@ -586,15 +575,14 @@ def accumulated_response(fit: GreyFit, t: float) -> float:
     """Closed-form accumulated response x1hat(t), with x1hat(1) = x0(1)."""
     if fit.kind is ModelKind.GVM:
         raise InvalidInputError("GVM has no accumulated closed form")
-    return float(_one_window(fit, lambda fits: _accumulated(fits, np.array([1.0, t])))[1])
+    return float(_one_window(fit, lambda fits: fits.x0_1 + _increment(fits, 1.0, t - 1.0)))
 
 
 def forecast_trig(fit: GreyFit, k: int) -> float:
-    """x0hat(k+1) by differencing the accumulated closed-form response."""
+    """x0hat(k+1) = x1hat(k+1) - x1hat(k), as D(k, 1)."""
     if fit.kind not in TRIG_KINDS:
         raise InvalidInputError(f"forecast_trig expects a trigonometric fit, got {fit.kind}")
-    acc = _one_window(fit, lambda fits: _accumulated(fits, np.array([1.0, k, k + 1.0])))
-    return float(acc[2] - acc[1])
+    return float(_one_window(fit, lambda fits: _increment(fits, k, 1.0)))
 
 
 def forecast(fit: GreyFit, steps_ahead: int = 1) -> float:

@@ -52,7 +52,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import benchmarks
 from .errors import (
     CalibrationFailedError,
-    GreycastError,
     InsufficientDataError,
     InvalidInputError,
     SingularSystemError,
@@ -525,7 +524,8 @@ def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
     """Grid-search the frequency minimizing rolling one-step RMSE.
 
     Calibration runs once on one series and the winner is reused elsewhere.
-    Ties break toward the smallest candidate.
+    Ties break toward the smallest candidate. An error a roll raises belongs
+    to the series, not to a frequency, so it propagates.
     """
     if kind not in TRIG_KINDS:
         raise InvalidInputError(f"{kind.value} has no frequency to calibrate")
@@ -534,13 +534,10 @@ def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
     best_omega, best_rmse = None, math.inf
     with _sharing():
         for omega in grid.candidates():
-            try:
-                trace = roll_forecast(series, replace(base, omega=float(omega)))
-            except GreycastError:
-                continue
+            trace = roll_forecast(series, replace(base, omega=float(omega)))
             if all(trace.fallbacks):
                 continue
-            err = trace.predicted() - trace.observed()
+            err = trace.residuals.values
             with np.errstate(over="ignore"):
                 rmse = float(np.sqrt(np.mean(err * err)))
             if rmse < best_rmse:

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -326,3 +327,61 @@ def test_multi_step_forecast_uses_same_fit():
     values = basic_form_series(0.1, 2.0, 1.0, 4)
     fit = fit_gm11(values)
     assert forecast(fit, steps_ahead=2) == pytest.approx(forecast_gm11(fit, 5), rel=1e-12)
+
+
+def decimal_accumulated(fit, t):
+    """x1hat(t) from ``fit``'s parameters in 80-digit decimal arithmetic.
+
+    sin and cos of the float product omega*t come from ``math``, as in the
+    closed form, so only the form's own arithmetic is under test.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        dec = decimal.Decimal
+        a, x0 = dec(fit.a), dec(fit.x0_1)
+        if fit.kind is ModelKind.GM11:
+            b, bc = dec(fit.b), dec(0)
+        else:
+            b, bc = dec(fit.b2), dec(fit.b1)
+
+        def particular(time):
+            if fit.kind is ModelKind.GM11:
+                return b / a
+            w = dec(fit.omega)
+            cos, sin = dec(math.cos(fit.omega * time)), dec(math.sin(fit.omega * time))
+            return (a * bc * cos + bc * w * sin) / (a * a + w * w) + b / a
+
+        return (x0 - particular(1.0)) * (-a * (dec(t) - 1)).exp() + particular(t)
+
+
+@pytest.mark.parametrize("fit,value,reference", [
+    # GM11 on a near-constant window: a is about 1e-9, next to the b/a pole.
+    (fit_gm11([5.0, 5.0 + 3e-8, 5.0 - 1e-8, 5.0 + 2e-8]),
+     lambda fit: forecast(fit),
+     lambda fit: decimal_accumulated(fit, 5.0) - decimal_accumulated(fit, 4.0)),
+    (GreyFit(ModelKind.GM_C, a=3e-9, b1=0.5, b2=2.0, omega=2.65, x0_1=1.0, window_len=4),
+     lambda fit: accumulated_response(fit, 5.0),
+     lambda fit: decimal_accumulated(fit, 5.0)),
+])
+def test_closed_form_keeps_precision_near_the_pole(fit, value, reference):
+    exact = reference(fit)
+    assert abs((decimal.Decimal(value(fit)) - exact) / exact) <= decimal.Decimal("1e-13")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: fit_model(ModelKind.GM_C, [1.0, 2.0, 3.0, 4.0], omega=0.0),
+     "omega must be positive"),
+    (lambda: fit_model(ModelKind.GM_ESC, [1.0, 2.0, 3.0, 4.0], omega=0.0),
+     "omega must be positive"),
+    (lambda: forecast(fit_gm11([1.0, 2.0, 3.0, 4.0]), steps_ahead=0),
+     "steps_ahead must be >= 1"),
+    (lambda: fit_trig([1.0, 2.0, 3.0, 4.0], ModelKind.GM11, omega=2.65),
+     "fit_trig does not handle"),
+    (lambda: accumulated_response(fit_gvm([1.0, 1.8, 2.4, 2.7]), 2.0),
+     "GVM has no accumulated closed form"),
+    (lambda: forecast_trig(fit_gm11([1.0, 2.0, 3.0, 4.0]), 4),
+     "forecast_trig expects a trigonometric fit"),
+])
+def test_one_window_input_checks(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()

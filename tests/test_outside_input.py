@@ -4,16 +4,25 @@ A frequency grid is checked before any candidate is made: a non-finite bound
 or step, or more than ``MAX_GRID_CANDIDATES`` candidates, is an
 ``InvalidInputError`` and, at the CLI, exit code 2. MAPE of a miss beyond the
 float range is inf, and the suite turns a RuntimeWarning into an error.
+Calibration raises the error a roll raises on a series no frequency can use.
 """
 import math
 
 import numpy as np
 import pytest
 
+from greycast import Series
 from greycast.cli import EXIT_INVALID_INPUT, main
 from greycast.errors import InvalidInputError
 from greycast.metrics import mape
-from greycast.rolling import MAX_GRID_CANDIDATES, OmegaGrid
+from greycast.models import ModelKind
+from greycast.rolling import (
+    MAX_GRID_CANDIDATES,
+    OmegaGrid,
+    RollingConfig,
+    calibrate_omega,
+    roll_forecast,
+)
 
 OUTSIDE = [
     (0.05, math.inf, 0.05),
@@ -60,3 +69,12 @@ def test_mape_of_a_huge_finite_miss_is_inf_without_a_warning():
     assert mape([1.7e308, 1.0], [-1.7e308, 1.0]).value == math.inf
     assert mape([1e300, 1.0], [1e-8, 1.0]).value == math.inf
     assert mape([3.0, 4.0], [2.0, 2.0]).value == pytest.approx(75.0)
+
+
+def test_calibration_raises_the_rolls_own_error():
+    series = Series([1, 2, 3, 4, 5, 1.7e308, -1.7e308, 3, 4, 5])
+    message = "values at indices 5 and 6 differ by more than the float range"
+    with pytest.raises(InvalidInputError, match=message):
+        roll_forecast(series, RollingConfig(model="GM_C"))
+    with pytest.raises(InvalidInputError, match=message):
+        calibrate_omega(series, ModelKind.GM_C, OmegaGrid(0.5, 1.0, 0.1))

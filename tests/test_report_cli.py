@@ -5,7 +5,8 @@ from greycast import Series
 from greycast.cli import EXIT_CALIBRATION, EXIT_INVALID_INPUT, EXIT_IO, EXIT_OK, main
 from greycast.config import load_config
 from greycast.data import Dataset, generate_synthetic
-from greycast.rolling import ALL_MODEL_NAMES, RollingConfig
+from greycast.data import ingest_csv
+from greycast.rolling import ALL_MODEL_NAMES, RollingConfig, roll_forecast
 from greycast.report import (
     compare,
     format_csv,
@@ -234,3 +235,60 @@ class TestCliShortSeries:
         code = main(["calibrate", "GM_C", "--input", str(path)])
         assert code == EXIT_INVALID_INPUT
         assert "series of 3 < window 4 + 1" in capsys.readouterr().err
+
+
+class TestCliPaths:
+    @pytest.mark.parametrize("command", [
+        ["calibrate", "GM_C", "--grid", "0.5:1:0.1"],
+        ["synth", "seasonal", "--params", "n=20"],
+    ])
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read config file"),
+        ("[linear\n", "malformed config file"),
+    ])
+    def test_every_subcommand_rejects_a_bad_config(self, seasonal_csv, tmp_path, capsys,
+                                                   command, content, message):
+        cfg = tmp_path / "user.cfg"
+        if content is not None:
+            cfg.write_text(content)
+        args = command + (["--input", seasonal_csv] if command[0] == "calibrate" else [])
+        assert main(["--config", str(cfg)] + args) == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_forecast_with_inwindow_residuals(self, seasonal_csv, capsys):
+        code = main(["--window", "6", "--ef-residual-window", "inwindow",
+                     "forecast", "EFGM_C", "--input", seasonal_csv])
+        assert code == EXIT_OK
+        series = ingest_csv(seasonal_csv).series[0]
+        trace = roll_forecast(series, RollingConfig(model="EFGM_C", window=6,
+                                                    ef_in_window=True))
+        assert capsys.readouterr().out == format_trace_csv([trace], [series.label])
+
+    @pytest.mark.parametrize("args", [["GM_C", "--grid", "0.5:1"], ["LINEAR"]])
+    def test_calibrate_rejects_a_bad_grid_or_model(self, seasonal_csv, capsys, args):
+        assert main(["calibrate"] + args + ["--input", seasonal_csv]) == EXIT_INVALID_INPUT
+
+    def test_failed_row_in_csv(self, tmp_path, capsys):
+        path = tmp_path / "five.csv"
+        path.write_text("timestamp,value\n" + "".join(f"{i},{3.0 + i}\n" for i in range(1, 6)))
+        code = main(["--format", "csv", "evaluate", "GM_SC", "--input", str(path)])
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().out.splitlines()[1] == "GM_SC,error,,1,"
+
+    def test_a_model_that_fails_on_the_first_series_skips_the_rest(self, tmp_path, capsys):
+        path = tmp_path / "two_days.csv"
+        rows = ["timestamp,value"]
+        rows += [f"2020-01-01T00:{i * 5:02d}:00,{20 + i}" for i in range(5)]
+        rows += [f"2020-01-02T{i // 12:02d}:{i % 12 * 5:02d}:00,{20 + i % 7}" for i in range(40)]
+        path.write_text("\n".join(rows) + "\n")
+        trace_path = tmp_path / "traces.csv"
+        code = main(["--format", "csv", "compare", "--input", str(path),
+                     "--models", "GM11,GM_SC", "--trace-output", str(trace_path)])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "GM_SC,error,,2," in lines
+        assert any(line.startswith("GM11,rmse,") and line.endswith(",2,0") for line in lines)
+        models = {line.split(",")[1] for line in trace_path.read_text().splitlines()[1:]}
+        assert models == {"GM11"}
