@@ -56,10 +56,13 @@ class Dataset:
 
 def _parse_timestamp(raw: str, line_no: int):
     raw = raw.strip()
-    try:
-        return int(raw), True
-    except ValueError:
-        pass
+    # An integer literal has no ':' and no '-' past its sign, so an ISO stamp
+    # skips the failing int() call.
+    if ":" not in raw and "-" not in raw[1:]:
+        try:
+            return int(raw), True
+        except ValueError:
+            pass
     try:
         return datetime.fromisoformat(raw), False
     except ValueError as exc:

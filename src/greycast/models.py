@@ -475,16 +475,26 @@ def _window_values(window) -> np.ndarray:
 
 
 def _stack_of_one(fit: GreyFit) -> WindowFits:
-    """A GreyFit as a stack of one window, trig coefficients in GM_SC form."""
+    """A GreyFit as a stack of one window, trig coefficients in GM_SC form.
+
+    Raises ``InvalidInputError`` naming the first parameter the kind needs
+    that ``fit`` lacks.
+    """
+    # The fields holding b, bs and bc; None stands for 0.
     if fit.kind in (ModelKind.GM11, ModelKind.GVM):
-        b, bs, bc = fit.b, 0.0, 0.0
+        fields = ("b", None, None)
     elif fit.kind is ModelKind.GM_S:
-        b, bs, bc = fit.b2, fit.b1, 0.0
+        fields = ("b2", "b1", None)
     elif fit.kind is ModelKind.GM_C:
-        b, bs, bc = fit.b2, 0.0, fit.b1
+        fields = ("b2", None, "b1")
     else:
-        b, bs, bc = fit.b3, fit.b1, fit.b2
-    a, b, bs, bc, x0 = (np.array([float(v)]) for v in (fit.a, b, bs, bc, fit.x0_1))
+        fields = ("b3", "b1", "b2")
+    needed = ("a",) + fields + ("x0_1", "omega" if fit.kind in TRIG_KINDS else None)
+    for name in needed:
+        if name and getattr(fit, name) is None:
+            raise InvalidInputError(f"{fit.kind.value} fit has no {name}")
+    a, b, bs, bc, x0 = (np.array([float(getattr(fit, name)) if name else 0.0])
+                        for name in needed[:-1])
     return WindowFits(fit.kind, a, b, bs, bc, x0, fit.omega, fit.window_len, Failures(1))
 
 

@@ -1,8 +1,11 @@
+from datetime import datetime
+
 import numpy as np
 import pytest
 
 from greycast import InvalidInputError, Series
 from greycast.data import (
+    _parse_timestamp,
     DEFAULT_SEED,
     aggregate,
     augment_stuck_values,
@@ -202,3 +205,33 @@ class TestGenerateSynthetic:
     def test_unknown_generator(self):
         with pytest.raises(InvalidInputError):
             generate_synthetic("fractal")
+
+
+@pytest.mark.parametrize("raw,parsed", [
+    ("+3", 3),
+    ("1_000", 1000),
+    (" 7", 7),
+    ("-4", -4),
+    ("20240205", 20240205),  # an integer index, although ISO-8601 reads it as a date
+    ("2024-02-05T00:05", datetime(2024, 2, 5, 0, 5)),
+    ("2024-02-05", datetime(2024, 2, 5)),
+    ("20240205T0005", datetime(2024, 2, 5, 0, 5)),
+])
+def test_timestamp_forms(tmp_path, raw, parsed):
+    path = tmp_path / "one.csv"
+    path.write_text(f"t,v\n{raw},1.5\n")
+    series = ingest_csv(str(path)).series
+    assert len(series) == 1 and series[0].values.tolist() == [1.5]
+    expected_label = parsed.date().isoformat() if isinstance(parsed, datetime) else "one.csv"
+    assert series[0].label == expected_label
+    assert _parse_timestamp(raw, 2) == (parsed, not isinstance(parsed, datetime))
+
+
+@pytest.mark.parametrize("raw", ["garbage", "12:00:00x", "1-2", "--5"])
+def test_bad_timestamp_cites_line(tmp_path, raw):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,v\n1,2.0\n{raw},3.0\n")
+    message = f"line 3: bad timestamp {raw!r} (ISO-8601 or integer index)"
+    with pytest.raises(InvalidInputError) as err:
+        ingest_csv(str(path))
+    assert str(err.value) == message

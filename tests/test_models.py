@@ -385,3 +385,18 @@ def test_closed_form_keeps_precision_near_the_pole(fit, value, reference):
 def test_one_window_input_checks(call, message):
     with pytest.raises(InvalidInputError, match=message):
         call()
+
+
+@pytest.mark.parametrize("fit,missing", [
+    (GreyFit(ModelKind.GM_C, a=0.1, b1=1.0, b2=1.0, x0_1=1.0), "omega"),
+    (GreyFit(ModelKind.GM11, a=0.1, x0_1=1.0), "b"),
+    (GreyFit(ModelKind.GVM, a=None, b=0.5, x0_1=1.0), "a"),
+    (GreyFit(ModelKind.GM_S, a=0.1, b1=0.5, omega=4.3, x0_1=1.0), "b2"),
+    (GreyFit(ModelKind.GM_SC, a=0.1, b1=0.5, b2=0.2, omega=9.3, x0_1=1.0), "b3"),
+    (GreyFit(ModelKind.GM_ESC, a=0.1, b2=0.2, b3=1.0, omega=2.65, x0_1=1.0), "b1"),
+    (GreyFit(ModelKind.GM11, a=0.1, b=2.0, x0_1=None), "x0_1"),
+])
+def test_hand_built_fit_missing_a_parameter(fit, missing):
+    for call in (forecast, fitted_values, lambda f: forecast_gm11(f, 4)):
+        with pytest.raises(InvalidInputError, match=f"{fit.kind.value} fit has no {missing}$"):
+            call(fit)
