@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, SingularSystemError
+from .series import row_sums
 
 CONDITION_LIMIT = 1e12
 _EPS = float(np.finfo(float).eps)
@@ -90,11 +91,12 @@ def solve_stacked(designs: np.ndarray, targets: np.ndarray) -> StackedSolution:
             solutions, smax, smin = _jacobi_stack(designs, columns)
     else:
         solutions, smax, smin = _svd_stack(designs, columns)
-    if np.count_nonzero(smin) == n:
-        condition = smax / smin
-    else:  # exactly singular systems: keep zeros out of the division
-        singular = smin == 0.0
-        condition = np.where(singular, np.inf, smax / np.where(singular, 1.0, smin))
+    with np.errstate(over="ignore"):  # a condition beyond the float range is inf
+        if np.count_nonzero(smin) == n:
+            condition = smax / smin
+        else:  # exactly singular systems: keep zeros out of the division
+            singular = smin == 0.0
+            condition = np.where(singular, np.inf, smax / np.where(singular, 1.0, smin))
     # rank < p is the smallest singular value falling below the rank tolerance.
     rejected = (smin <= _EPS * max(m, p) * smax) | (condition > CONDITION_LIMIT)
     return StackedSolution(solutions if targets.ndim == 3 else solutions[:, :, 0],
@@ -119,7 +121,9 @@ _SWEEPS = 8
 # condition above 1e13 and is rejected whatever a rotation does, so it is not
 # rotated: where the smaller norm's square underflows, no rotation would
 # satisfy the convergence test. This also bounds |zeta| by 1e13 / (2 eps), so
-# zeta * zeta cannot overflow.
+# zeta * zeta cannot overflow. Its singular values are estimated by its
+# column norms, each scaled by its own power of two, so that an underflowing
+# square does not make a nonzero column read as exactly singular.
 _HOPELESS = 1e-26
 _SIGNS = np.array([-1.0, 1.0])[:, None, None]
 
@@ -144,12 +148,13 @@ def _jacobi_stack(designs: np.ndarray, columns: np.ndarray):
     w[:, :m] = np.ldexp(designs, -scale[:, None, None]).transpose(2, 1, 0)
     w[:, m:] = np.eye(2)[:, :, None]
     products = np.empty((3, m, n))
+    terms = products.transpose(0, 2, 1)
     for sweep in range(_SWEEPS + 1):
         np.multiply(w[:, :m], w[:, :m], out=products[:2])
         np.multiply(w[0, :m], w[1, :m], out=products[2])
-        alpha, beta, gamma = _row_sums(products)
-        rotate = ((np.abs(gamma) > _EPS * np.sqrt(alpha * beta))
-                  & (np.minimum(alpha, beta) >= _HOPELESS * np.maximum(alpha, beta)))
+        alpha, beta, gamma = row_sums(terms)
+        comparable = np.minimum(alpha, beta) >= _HOPELESS * np.maximum(alpha, beta)
+        rotate = (np.abs(gamma) > _EPS * np.sqrt(alpha * beta)) & comparable
         if sweep == _SWEEPS or not rotate.any():
             break
         zeta = (beta - alpha) / (2.0 * np.where(rotate, gamma, 1.0))
@@ -162,18 +167,14 @@ def _jacobi_stack(designs: np.ndarray, columns: np.ndarray):
     # x = V diag(1/s^2) (B V)'y, on the scaled system.
     y = np.ldexp(columns, -scale[:, None, None]).transpose(1, 2, 0)
     norms = np.stack([alpha, beta])
-    coef = _row_sums(w[:, :m, None, :] * y) / np.where(norms == 0.0, 1.0, norms)[:, None]
+    coef = (row_sums((w[:, :m, None, :] * y).transpose(0, 2, 3, 1))
+            / np.where(norms == 0.0, 1.0, norms)[:, None])
     solutions = w[0, m:, None] * coef[0] + w[1, m:, None] * coef[1]
     sigma = np.sqrt(norms)
+    if np.count_nonzero(comparable) < n:
+        hopeless = ~comparable
+        sigma[:, hopeless] = _column_norms(w[:, :m, hopeless])
     return solutions.transpose(2, 0, 1), sigma.max(axis=0), sigma.min(axis=0)
-
-
-def _row_sums(products: np.ndarray) -> np.ndarray:
-    """Sums over axis 1, added row by row in order."""
-    total = products[:, 0] + products[:, 1]
-    for row in range(2, products.shape[1]):
-        total += products[:, row]
-    return total
 
 
 def _solve_one(design: np.ndarray, target: np.ndarray) -> StackedSolution:
@@ -195,7 +196,8 @@ def _jacobi_one(col0: list, col1: list, columns: list):
 
     It makes the same IEEE operations in the same order, so it gives the same
     bits, without the fixed cost of some fifty numpy calls on one-element
-    arrays. V is kept as its four entries, v_ji in row j and column i.
+    arrays. V is kept as its four entries, v_ji in row j and column i. A
+    hopeless system shares ``_column_norms`` with the stack.
     """
     _, scale = math.frexp(max(map(abs, col0 + col1)))
     a0 = [math.ldexp(u, -scale) for u in col0]
@@ -230,8 +232,20 @@ def _jacobi_one(col0: list, col1: list, columns: list):
             d1 += v * y
         c0, c1 = d0 / (alpha or 1.0), d1 / (beta or 1.0)
         solution.append((v00 * c0 + v01 * c1, v10 * c0 + v11 * c1))
-    sigma0, sigma1 = math.sqrt(alpha), math.sqrt(beta)
+    if min(alpha, beta) < _HOPELESS * max(alpha, beta):
+        sigma0, sigma1 = _column_norms(np.array([a0, a1])[:, :, None])[:, 0].tolist()
+    else:
+        sigma0, sigma1 = math.sqrt(alpha), math.sqrt(beta)
     return solution, max(sigma0, sigma1), min(sigma0, sigma1)
+
+
+def _column_norms(cols: np.ndarray) -> np.ndarray:
+    """The (2, h) column norms of the (2, m, h) columns of h hopeless systems:
+    each column is scaled by the power of two of its largest entry before its
+    squares are summed, so a nonzero column's norm cannot underflow to 0."""
+    _, exponent = np.frexp(np.abs(cols).max(axis=1))
+    cols = np.ldexp(cols, -exponent[:, None])
+    return np.ldexp(np.sqrt(row_sums((cols * cols).transpose(0, 2, 1))), exponent)
 
 
 def _ldexp(value: float, exponent: int) -> float:

@@ -32,6 +32,10 @@ the same point. ``fit_model``, ``forecast``, ``forecast_gm11``,
 ``fitted_values`` are the one-window case: they evaluate a stack of one.
 GM_ESC's fit is GM(1,1)'s fit followed by ``fit_esc_windows``, which leaves
 the GM(1,1) fits as they are, so one stage one can serve every frequency.
+
+The per-kind facts live in one table, ``_KINDS``, with one row per kind;
+``TRIG_KINDS``, ``DEFAULT_OMEGA``, ``EF_NAME`` and ``MIN_WINDOW`` are views
+of it.
 """
 from __future__ import annotations
 
@@ -71,37 +75,36 @@ class ModelKind(enum.Enum):
     GM_ESC = "GM_ESC"
 
 
-TRIG_KINDS = (ModelKind.GM_S, ModelKind.GM_C, ModelKind.GM_SC, ModelKind.GM_ESC)
+class _Kind(NamedTuple):
+    ef_name: str
+    # Parameter count + 1 equations, except GM_SC: four columns need w >= 5.
+    min_window: int
+    omega: Optional[float]  # default frequency, grid-searched; None: no omega
+    trig: tuple  # trig design columns of a joint fit, between -z1(k) and 1
+    fields: tuple  # the GreyFit fields of b, bs and bc; None stands for 0
+    has_K: bool  # whether its GreyFit carries K
 
-#: Grid-searched default angular frequencies (radians per time step). The
-#: packaged configuration takes its ``[omega]`` defaults from here.
-DEFAULT_OMEGA = MappingProxyType({
-    ModelKind.GM_S: 4.30,
-    ModelKind.GM_C: 2.65,
-    ModelKind.GM_SC: 9.30,
-    ModelKind.GM_ESC: 74.10,
-})
+
+_KINDS = {
+    ModelKind.GM11: _Kind("EFGM", 4, None, (), ("b", None, None), False),
+    ModelKind.GVM: _Kind("EFGVM", 4, None, (), ("b", None, None), False),
+    ModelKind.GM_S: _Kind("EFGM_S", 4, 4.30, (np.sin,), ("b2", "b1", None), False),
+    ModelKind.GM_C: _Kind("EFGM_C", 4, 2.65, (np.cos,), ("b2", None, "b1"), True),
+    ModelKind.GM_SC: _Kind("EFGM_SC", 5, 9.30, (np.sin, np.cos), ("b3", "b1", "b2"), True),
+    ModelKind.GM_ESC: _Kind("EFGM_ESC", 4, 74.10, (), ("b3", "b1", "b2"), True),
+}
+
+TRIG_KINDS = tuple(kind for kind, row in _KINDS.items() if row.omega is not None)
+
+#: Default angular frequencies (radians per time step). The packaged
+#: configuration takes its ``[omega]`` defaults from here.
+DEFAULT_OMEGA = MappingProxyType({kind: _KINDS[kind].omega for kind in TRIG_KINDS})
 
 #: Error-corrected counterparts of the model names.
-EF_NAME = {
-    ModelKind.GM11: "EFGM",
-    ModelKind.GVM: "EFGVM",
-    ModelKind.GM_S: "EFGM_S",
-    ModelKind.GM_C: "EFGM_C",
-    ModelKind.GM_SC: "EFGM_SC",
-    ModelKind.GM_ESC: "EFGM_ESC",
-}
+EF_NAME = {kind: row.ef_name for kind, row in _KINDS.items()}
 
-#: Minimum window length per kind (parameter count + 1 equations needed,
-#: except GM_SC whose four columns need at least four equations -> w >= 5).
-MIN_WINDOW = {
-    ModelKind.GM11: 4,
-    ModelKind.GVM: 4,
-    ModelKind.GM_S: 4,
-    ModelKind.GM_C: 4,
-    ModelKind.GM_SC: 5,
-    ModelKind.GM_ESC: 4,
-}
+#: Minimum window length per kind.
+MIN_WINDOW = {kind: row.min_window for kind, row in _KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -195,11 +198,6 @@ class WindowFits(NamedTuple):
     mean: Optional[np.ndarray] = None
 
 
-#: The trigonometric regressors of the jointly fitted kinds, in design order.
-_TRIG_COLUMNS = {ModelKind.GM_S: (np.sin,), ModelKind.GM_C: (np.cos,),
-                 ModelKind.GM_SC: (np.sin, np.cos)}
-
-
 def _overflow_error(kind: ModelKind, a: np.ndarray) -> Callable[[int], GreycastError]:
     return lambda i: NumericalDegeneracyError(
         f"{kind.value} closed form overflowed (a={float(a[i]):.3g})")
@@ -216,13 +214,11 @@ def _solve(fails: Failures, system: np.ndarray) -> np.ndarray:
 
     Reports what ``LeastSquaresProblem`` and ``solve_least_squares`` raise for
     one window and skips the windows that have failed; returns the (p, N)
-    parameters.
+    parameters. No window reaches it with fewer equations than parameters:
+    every window shorter than its kind's minimum has failed by then.
     """
-    n, m, cols = system.shape
+    n, _, cols = system.shape
     p = cols - 1
-    if m < p:
-        fails.add_all(lambda i: InsufficientDataError(
-            f"underdetermined system: {m} rows < {p} columns"))
     if not all_finite(system):
         fails.add(~np.isfinite(system).all(axis=(1, 2)),
                   lambda i: InvalidInputError("least-squares entries must be finite"))
@@ -260,9 +256,10 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
     x = np.asarray(windows, dtype=float)
     n, w = x.shape
     fails = Failures(n)
+    row = _KINDS[kind]
     freq = None
-    if kind in TRIG_KINDS:
-        freq = DEFAULT_OMEGA[kind] if omega is None else float(omega)
+    if row.omega is not None:
+        freq = row.omega if omega is None else float(omega)
         if not freq > 0:
             fails.add_all(lambda i: InvalidInputError("omega must be positive"))
     if w < 4:
@@ -273,9 +270,9 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
         negative = x < 0
         fails.add(negative.any(axis=1), lambda i: InvalidInputError(
             f"negative value at window index {int(np.argmax(negative[i]))}"))
-    if w < MIN_WINDOW[kind]:
+    if w < row.min_window:
         fails.add_all(lambda i: InsufficientDataError(
-            f"{kind.value} needs a window of at least {MIN_WINDOW[kind]}"))
+            f"{kind.value} needs a window of at least {row.min_window}"))
     if kind is ModelKind.GVM and n and not x.min() > 0.0:
         nonpositive = x <= 0
         fails.add(nonpositive.any(axis=1), lambda i: InvalidInputError(
@@ -286,26 +283,19 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
     z = _mean_sequence(x)
     k = _local_times(w)
     # Design columns, then the targets x0(2..w) as the last column.
-    trig = _TRIG_COLUMNS.get(kind, ())
-    system = np.empty((n, w - 1, 3 + len(trig)))
+    system = np.empty((n, w - 1, 3 + len(row.trig)))
     np.negative(z, out=system[..., 0])
     if kind is ModelKind.GVM:
         np.multiply(z, z, out=system[..., 1])
     else:
-        for col, fn in enumerate(trig, start=1):
+        for col, fn in enumerate(row.trig, start=1):
             system[..., col] = fn(freq * k)
-        system[..., 1 + len(trig)] = 1.0
+        system[..., -2] = 1.0
     system[..., -1] = x[:, 1:]
     params = _solve(fails, system)
-    a, b = params[0], params[-1]
-    bs = bc = np.zeros(n)
-    if kind is ModelKind.GM_S:
-        bs = params[1]
-    elif kind is ModelKind.GM_C:
-        bc = params[1]
-    elif kind is ModelKind.GM_SC:
-        bs, bc = params[1], params[2]
-    return WindowFits(kind, a, b, bs, bc, x[:, 0], freq, w, fails, z)
+    coef, zero = dict(zip(row.trig, params[1:-1])), np.zeros(n)
+    return WindowFits(kind, params[0], params[-1], coef.get(np.sin, zero),
+                      coef.get(np.cos, zero), x[:, 0], freq, w, fails, z)
 
 
 def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = None) -> WindowFits:
@@ -480,16 +470,8 @@ def _stack_of_one(fit: GreyFit) -> WindowFits:
     Raises ``InvalidInputError`` naming the first parameter the kind needs
     that ``fit`` lacks.
     """
-    # The fields holding b, bs and bc; None stands for 0.
-    if fit.kind in (ModelKind.GM11, ModelKind.GVM):
-        fields = ("b", None, None)
-    elif fit.kind is ModelKind.GM_S:
-        fields = ("b2", "b1", None)
-    elif fit.kind is ModelKind.GM_C:
-        fields = ("b2", None, "b1")
-    else:
-        fields = ("b3", "b1", "b2")
-    needed = ("a",) + fields + ("x0_1", "omega" if fit.kind in TRIG_KINDS else None)
+    row = _KINDS[fit.kind]
+    needed = ("a",) + row.fields + ("x0_1", "omega" if row.omega is not None else None)
     for name in needed:
         if name and getattr(fit, name) is None:
             raise InvalidInputError(f"{fit.kind.value} fit has no {name}")
@@ -523,16 +505,16 @@ def fit_model(kind: ModelKind, window, omega: Optional[float] = None) -> GreyFit
     with np.errstate(all="ignore"):
         fits = fit_windows(kind, _window_values(window), omega)
     fits.failures.raise_first()
-    a, b, bs, bc = (float(v[0]) for v in (fits.a, fits.b, fits.bs, fits.bc))
-    common = dict(x0_1=float(fits.x0_1[0]), window_len=fits.window_len)
-    if kind in (ModelKind.GM11, ModelKind.GVM):
-        return GreyFit(kind, a=a, b=b, **common)
-    if kind is ModelKind.GM_S:
-        return GreyFit(kind, a=a, b1=bs, b2=b, omega=fits.omega, **common)
-    K = _integration_constant(fits)
-    if kind is ModelKind.GM_C:
-        return GreyFit(kind, a=a, b1=bc, b2=b, omega=fits.omega, K=K, **common)
-    return GreyFit(kind, a=a, b1=bs, b2=bc, b3=b, omega=fits.omega, K=K, **common)
+    row = _KINDS[kind]
+    fields = dict(a=float(fits.a[0]), x0_1=float(fits.x0_1[0]), window_len=fits.window_len)
+    for name, value in zip(row.fields, (fits.b, fits.bs, fits.bc)):
+        if name:
+            fields[name] = float(value[0])
+    if row.omega is not None:
+        fields["omega"] = fits.omega
+    if row.has_K:
+        fields["K"] = _integration_constant(fits)
+    return GreyFit(kind, **fields)
 
 
 def fit_gm11(window) -> GreyFit:

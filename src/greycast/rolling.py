@@ -74,12 +74,11 @@ from .models import (
     fitted_windows,
     forecast_windows,
 )
-from .series import Series, all_finite
+from .series import Series, all_finite, row_sums
 
 BENCHMARK_NAMES = ("LINEAR", "ARIMA", "SARIMA", "SETAR")
 
-GREY_MODEL_NAMES = ("GM11", "EFGM", "GVM", "EFGVM", "GM_S", "EFGM_S",
-                    "GM_C", "EFGM_C", "GM_SC", "EFGM_SC", "GM_ESC", "EFGM_ESC")
+GREY_MODEL_NAMES = tuple(name for kind in ModelKind for name in (kind.value, EF_NAME[kind]))
 
 ALL_MODEL_NAMES = GREY_MODEL_NAMES + BENCHMARK_NAMES
 
@@ -417,16 +416,6 @@ def _fit(values: np.ndarray, lo: int, hi: int, w: int, kind: ModelKind,
     return fit_windows(kind, windows, omega)
 
 
-def _row_dots(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (M, n) weights (or one n-vector) and (M, n)
-    windows, summed left to right: a row's result depends on that row alone,
-    however many rows there are."""
-    total = weights[..., 0] * windows[:, 0]
-    for q in range(1, windows.shape[1]):
-        total = total + weights[..., q] * windows[:, q]
-    return total
-
-
 Corrections = Tuple[np.ndarray, np.ndarray, Dict[int, str]]
 
 
@@ -475,7 +464,7 @@ def _buffered_corrections(residuals: np.ndarray, failed: np.ndarray,
         rows[r, width - 1 - r:] = weights[r + 1][offsets[r]]
     rows[width - 1:] = weights[width][offsets[width - 1:]]
     windows = sliding_window_view(np.concatenate((np.zeros(width), eps)), width)[i]
-    return ok[i], _row_dots(rows, windows), errors
+    return ok[i], row_sums(rows * windows), errors
 
 
 def _in_window_corrections(values: np.ndarray, w: int, fitted: np.ndarray,
@@ -493,7 +482,7 @@ def _in_window_corrections(values: np.ndarray, w: int, fitted: np.ndarray,
     except SingularSystemError as exc:
         errors.update(dict.fromkeys(ok[finite].tolist(), str(exc)))
         return ok[:0], values[:0], errors
-    return ok[finite], _row_dots(weights[n % weights.shape[0]], windows[finite]), errors
+    return ok[finite], row_sums(weights[n % weights.shape[0]] * windows[finite]), errors
 
 
 #: The most candidates a grid may hold; the default grid has 2,000.

@@ -25,6 +25,16 @@ def all_finite(arr: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(arr)) == arr.size
 
 
+def row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right: a row's sum depends on
+    that row alone, however many rows there are beside it."""
+    count = terms.shape[-1]
+    total = terms[..., 0] + terms[..., 1] if count > 1 else terms[..., 0].copy()
+    for q in range(2, count):
+        total += terms[..., q]
+    return total
+
+
 @dataclass(frozen=True)
 class Series:
     """A finite, time-ordered sequence of real observations.

@@ -34,10 +34,10 @@ from greycast.models import (
 from greycast.rolling import GREY_MODEL_NAMES, RollingConfig, parse_model, roll_forecast
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "rolls.json").read_text())
-#: Relative tolerance per golden series. On "wild" some windows have |a| just
-#: above DEGENERATE_A: their closed form differences terms near b/a ~ 3e12
-#: down to ~3e5, so a change in rounding moves the forecast by ulp(3e12), about
-#: 2e-9 of it, for the per-step path and the engine alike.
+#: Relative tolerance per golden series. The fixture's "wild" forecasts were
+#: computed by an older closed form, which lost up to ulp(3e12), about 2e-9 of
+#: a forecast, on windows with |a| just above DEGENERATE_A; the tolerance
+#: absorbs that older rounding.
 REL_TOL = {"wild": 1e-8}
 BASE_MODELS = tuple(m for m in GREY_MODEL_NAMES if not m.startswith("EF"))
 

@@ -285,7 +285,7 @@ class TestForecastTrig:
         gm = GreyFit(ModelKind.GM11, a=0.3, b=1.0, x0_1=7.0, window_len=4)
         assert accumulated_response(gm, 1.0) == 7.0
 
-    def test_degenerate_a_branch_matches_ode(self):
+    def test_zero_a_matches_ode(self):
         for kind in (ModelKind.GM_S, ModelKind.GM_C, ModelKind.GM_SC,
                      ModelKind.GM_ESC):
             fit = GreyFit(kind, a=0.0, b1=0.4, b2=-0.2, b3=1.0, omega=2.65,

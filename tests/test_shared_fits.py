@@ -240,9 +240,8 @@ def test_a_reader_is_charged_what_it_borrowed():
     series = Series(gappy(40, 7))
     with rolling._sharing() as shared:
         roll_forecast(series, RollingConfig(model="GM11"))
-        for key, entry in list(shared.entries.items()):
-            if key[1] != "windows":  # GM11's fits and forecasts
-                shared.entries[key] = entry._replace(seconds=1000.0)
+        for key, entry in list(shared.entries.items()):  # GM11's fits
+            shared.entries[key] = entry._replace(seconds=1000.0)
         readers = [roll_forecast(series, RollingConfig(model=m)) for m in ("EFGM", "GM_ESC")]
         other = roll_forecast(series, RollingConfig(model="GVM"))
     for trace in readers:
