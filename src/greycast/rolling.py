@@ -508,18 +508,37 @@ class OmegaGrid:
         return self.lo + self.step * np.arange(count)
 
 
+#: Two calibration scores closer than this many eps times the RMS of the
+#: observed targets tie. A backward-stable solve of a fit with condition
+#: kappa leaves errors of about eps * kappa relative in its parameters, so
+#: solvers that differ only in rounding move a forecast by about that much,
+#: and a score by at most the RMS of those moves. 1e4 is the condition up to
+#: which the engine counts two solvers' bits as interchangeable; scores that
+#: close are decided by rounding, not by the data.
+TIE_TOLERANCE = 1e4
+
+
 def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
                     config: Optional[RollingConfig] = None) -> float:
     """Grid-search the frequency minimizing rolling one-step RMSE.
 
     Calibration runs once on one series and the winner is reused elsewhere.
-    Ties break toward the smallest candidate. An error a roll raises belongs
-    to the series, not to a frequency, so it propagates.
+    Candidates are tried from the smallest up, and one replaces the best so
+    far only if its RMSE is lower by more than ``TIE_TOLERANCE`` * eps times
+    the RMS of the observed targets: ties keep the smaller candidate. An
+    error a roll raises belongs to the series, not to a frequency, so it
+    propagates.
     """
     if kind not in TRIG_KINDS:
         raise InvalidInputError(f"{kind.value} has no frequency to calibrate")
     base = replace(config if config is not None else RollingConfig(), model=kind.value)
-    _window(series.values, base)
+    observed = series.values[_window(series.values, base):]
+    # The RMS of the targets scaled by the power of two of the largest, so it
+    # cannot overflow.
+    _, scale = math.frexp(float(np.abs(observed).max()))
+    scaled = np.ldexp(observed, -scale)
+    tolerance = TIE_TOLERANCE * float(np.finfo(float).eps) * math.ldexp(
+        math.sqrt(float(np.mean(scaled * scaled))), scale)
     best_omega, best_rmse = None, math.inf
     with _sharing():
         for omega in grid.candidates():
@@ -529,7 +548,7 @@ def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
             err = trace.residuals.values
             with np.errstate(over="ignore"):
                 rmse = float(np.sqrt(np.mean(err * err)))
-            if rmse < best_rmse:
+            if rmse < best_rmse - tolerance:
                 best_omega, best_rmse = float(omega), rmse
     if best_omega is None:
         raise CalibrationFailedError("no grid frequency produced a usable fit")
