@@ -54,7 +54,7 @@ from .errors import (
     InvalidInputError,
     NumericalDegeneracyError,
 )
-from .lstsq import singular_error, solve_stacked
+from .lstsq import SharedBlock, factor_block, singular_error, solve_shared, solve_stacked
 from .series import Series, all_finite
 
 # Below this magnitude the development coefficient is treated as exactly zero
@@ -209,27 +209,31 @@ def _overflowed(args: np.ndarray) -> np.ndarray:
     return (np.isinf(e) & np.isfinite(args)).any(axis=1)
 
 
-def _solve(fails: Failures, system: np.ndarray) -> np.ndarray:
+def _solve(fails: Failures, system: np.ndarray, block: Optional[SharedBlock] = None
+           ) -> np.ndarray:
     """Solve each window's (m, p) system, stored with its targets as column p.
 
-    Reports what ``LeastSquaresProblem`` and ``solve_least_squares`` raise for
-    one window and skips the windows that have failed; returns the (p, N)
-    parameters. No window reaches it with fewer equations than parameters:
-    every window shorter than its kind's minimum has failed by then.
+    With ``block``, the design's columns 1..p-1 are the block's C, and
+    ``solve_shared`` solves it; otherwise ``solve_stacked``. Reports what
+    ``LeastSquaresProblem`` and ``solve_least_squares`` raise for one window
+    and skips the windows that have failed; returns the (p, N) parameters.
+    No window reaches it with fewer equations than parameters: every window
+    shorter than its kind's minimum has failed by then.
     """
     n, _, cols = system.shape
     p = cols - 1
+    solve = solve_stacked if block is None else functools.partial(solve_shared, block=block)
     if not all_finite(system):
         fails.add(~np.isfinite(system).all(axis=(1, 2)),
                   lambda i: InvalidInputError("least-squares entries must be finite"))
     if not fails.errors:
-        result = solve_stacked(system[..., :p], system[..., p])
+        result = solve(system[..., :p], system[..., p])
         fails.add(result.rejected, lambda i: singular_error(float(result.condition[i])))
         return result.solutions.T
     params = np.full((p, n), np.nan)
     rows = np.flatnonzero(~fails.failed)
     if rows.size:
-        result = solve_stacked(system[rows, :, :p], system[rows, :, p])
+        result = solve(system[rows, :, :p], system[rows, :, p])
         params[:, rows] = result.solutions.T
         rejected = np.zeros(n, dtype=bool)
         rejected[rows] = result.rejected
@@ -243,6 +247,9 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
 
     GM11 and GVM solve x0(k) + a*z1(k) = b and = b*z1(k)^2; GM_S, GM_C and
     GM_SC regress jointly on sin(omega k) / cos(omega k) and a constant.
+    Those columns are the same in every window, so they are factored once
+    per (kind, w, omega) (``_shared_block``) and ``solve_shared`` solves the
+    windows against them.
     GM_ESC is two-stage: stage 1 is GM(1,1)'s fit and stage 2
     (``fit_esc_windows``) regresses its residuals on e^(-k a) sin(omega k) and
     e^(-k a) cos(omega k). ``omega`` defaults to ``DEFAULT_OMEGA``.
@@ -281,21 +288,34 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
     if fails.errors and fails.failed.all():
         return _all_failed(kind, n, freq, w, fails)
     z = _mean_sequence(x)
-    k = _local_times(w)
     # Design columns, then the targets x0(2..w) as the last column.
     system = np.empty((n, w - 1, 3 + len(row.trig)))
     np.negative(z, out=system[..., 0])
+    block = None
     if kind is ModelKind.GVM:
         np.multiply(z, z, out=system[..., 1])
+    elif row.trig:
+        block = _shared_block(kind, w, freq)
+        system[..., 1:-1] = block.columns
     else:
-        for col, fn in enumerate(row.trig, start=1):
-            system[..., col] = fn(freq * k)
-        system[..., -2] = 1.0
+        system[..., 1] = 1.0
     system[..., -1] = x[:, 1:]
-    params = _solve(fails, system)
+    params = _solve(fails, system, block)
     coef, zero = dict(zip(row.trig, params[1:-1])), np.zeros(n)
     return WindowFits(kind, params[0], params[-1], coef.get(np.sin, zero),
                       coef.get(np.cos, zero), x[:, 0], freq, w, fails, z)
+
+
+@functools.lru_cache(maxsize=128)
+def _shared_block(kind: ModelKind, w: int, freq: float) -> SharedBlock:
+    """The columns every w-point window of ``kind`` shares at frequency
+    ``freq``, [trig(freq k)..., 1], factored once for ``solve_shared``."""
+    k = _local_times(w)
+    columns = np.empty((w - 1, len(_KINDS[kind].trig) + 1))
+    for col, fn in enumerate(_KINDS[kind].trig):
+        columns[:, col] = fn(freq * k)
+    columns[:, -1] = 1.0
+    return factor_block(columns)
 
 
 def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = None) -> WindowFits:

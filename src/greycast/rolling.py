@@ -57,6 +57,7 @@ from .errors import (
     SingularSystemError,
 )
 from .config import load_config
+from .lstsq import SHARED_CONDITION_LIMIT
 from .fourier import (
     NON_FINITE_RESIDUALS,
     ResidualSeries,
@@ -512,10 +513,10 @@ class OmegaGrid:
 #: observed targets tie. A backward-stable solve of a fit with condition
 #: kappa leaves errors of about eps * kappa relative in its parameters, so
 #: solvers that differ only in rounding move a forecast by about that much,
-#: and a score by at most the RMS of those moves. 1e4 is the condition up to
-#: which the engine counts two solvers' bits as interchangeable; scores that
-#: close are decided by rounding, not by the data.
-TIE_TOLERANCE = 1e4
+#: and a score by at most the RMS of those moves. The engine lets two
+#: solvers' bits differ up to a condition of ``SHARED_CONDITION_LIMIT``
+#: (1e4); scores that close are decided by rounding, not by the data.
+TIE_TOLERANCE = SHARED_CONDITION_LIMIT
 
 
 def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
