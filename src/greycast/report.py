@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .data import Dataset
-from .errors import GreycastError
+from .errors import GreycastError, InvalidInputError
 from .metrics import improvement, mape, rmse
 from .rolling import (
     ALL_MODEL_NAMES,
@@ -120,7 +120,7 @@ def _row(model: str, traces: List[ForecastTrace], failure: Optional[str],
     per_mape: List[float] = []
     excluded = 0
     for trace in traces:
-        predicted, observed = trace.predicted(), trace.observed()
+        predicted, observed = trace.predicted_values, trace.observed_values
         per_rmse.append(rmse(predicted, observed))
         result = mape(predicted, observed)
         per_mape.append(result.value)
@@ -180,12 +180,24 @@ def format_csv(report: EvalReport, include_timing: bool = True) -> str:
 
 def format_trace_csv(traces: Sequence[ForecastTrace],
                      series_labels: Optional[Sequence[str]] = None) -> str:
-    """Long-format per-step export for box-plot style downstream analysis."""
+    """Long-format per-step export for box-plot style downstream analysis.
+
+    ``series_labels`` names each trace's series, one label per trace; the
+    default labels are the traces' positions.
+    """
+    labels = (list(map(str, range(len(traces)))) if series_labels is None
+              else list(series_labels))
+    if len(labels) != len(traces):
+        raise InvalidInputError(f"{len(labels)} series labels for {len(traces)} traces")
     lines = ["series,model,index,observed,predicted,residual,fallback_flag"]
-    labels = list(series_labels) if series_labels is not None else None
-    for t_i, trace in enumerate(traces):
-        label = labels[t_i] if labels is not None else str(t_i)
-        for (index, predicted, observed), flag in zip(trace.predictions, trace.fallbacks):
-            lines.append(f"{label},{trace.model},{index},{observed!r},{predicted!r},"
-                         f"{observed - predicted!r},{int(flag)}")
+    for label, trace in zip(labels, traces):
+        head = f"{label},{trace.model},"
+        predicted, observed = trace.predicted_values, trace.observed_values
+        first = trace.start_index
+        with np.errstate(over="ignore"):  # a huge but finite miss gives inf, silently
+            residual = observed - predicted
+        lines.extend(f"{head}{index},{o!r},{p!r},{r!r},{int(flag)}"
+                     for index, o, p, r, flag in zip(
+                         range(first, first + predicted.size), observed.tolist(),
+                         predicted.tolist(), residual.tolist(), trace.fallback_flags.tolist()))
     return "\n".join(lines) + "\n"

@@ -18,6 +18,12 @@ the one-history forecaster's value, and a history too short for the spec
 falls back with the message that forecaster raises. One block then applies the
 fallbacks, the clamp and the trace assembly to every model.
 
+A trace keeps the roll's arrays: its first target index, the read-only
+predicted, observed and fallback-flag columns, the residuals, the per-step
+times and the error messages. Its tuple views, ``predictions`` and
+``fallbacks``, are built from the columns on first read and then kept; the
+report and the calibration read the columns and never build them.
+
 The EF correction is a linear filter of each step's residuals
 (``fourier.correction_weights``), applied to the whole roll at once. The
 residual buffer holds base residuals only, so every step's buffer follows
@@ -43,7 +49,7 @@ import math
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -127,39 +133,100 @@ class RollingConfig:
         if self.multi_step < 1:
             raise InvalidInputError("multi_step must be >= 1")
         # A frozen config parses its model once; every roll reads the parse.
-        object.__setattr__(self, "_parsed", parse_model(self.model))
+        kind, _, bench = parsed = parse_model(self.model)
+        object.__setattr__(self, "_parsed", parsed)
+        # GM_SC has four parameters; a 4-point window gives only 3 equations.
+        object.__setattr__(self, "_effective_window", self.window if bench is not None
+                           else max(self.window, MIN_WINDOW[kind]))
 
     def effective_window(self) -> int:
-        kind, _, bench = self._parsed
-        if bench is not None:
-            return self.window
-        # GM_SC has four parameters; a 4-point window gives only 3 equations.
-        return max(self.window, MIN_WINDOW[kind])
+        return self._effective_window
 
 
-@dataclass(frozen=True)
+class _built_on_read:
+    """A value computed from an object on its first read and then kept in
+    the object's ``__dict__``, where later reads find it without a call:
+    ``functools.cached_property`` without the lock it takes before Python
+    3.12, which costs a one-step online roll about 1 µs."""
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
+@dataclass(frozen=True, eq=False)
 class ForecastTrace:
-    """Per-step record of one rolling run over one series.
+    """Per-step record of one rolling run over one series, held as columns.
 
-    Two traces are equal when everything but their timings is.
+    Step j targets the 1-based index ``start_index + j``. Its forecast, its
+    observation and whether it fell back are ``predicted_values[j]``,
+    ``observed_values[j]`` and ``fallback_flags[j]``; the arrays are
+    read-only. ``predictions`` and ``fallbacks`` are the same steps as
+    tuples, built on first read and then kept.
+
+    Two traces are equal when everything but their timings is. A trace holds
+    arrays, so it is unhashable.
     """
 
     model: str
-    predictions: Tuple[Tuple[int, float, float], ...]  # (index, predicted, observed)
+    start_index: int
+    predicted_values: np.ndarray
+    observed_values: np.ndarray
+    fallback_flags: np.ndarray
     residuals: ResidualSeries
-    per_step_time: Tuple[float, ...] = field(compare=False)  # s; equal share of the roll
-    fallbacks: Tuple[bool, ...]
+    per_step_time: Tuple[float, ...]  # s; equal share of the roll
     errors: Tuple[Tuple[int, str], ...]
 
+    __hash__ = None
+
+    def __post_init__(self):
+        # A column its caller can still write to is copied, so the trace
+        # keeps the steps it was built with.
+        for name, dtype in (("predicted_values", float), ("observed_values", float),
+                            ("fallback_flags", bool)):
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.flags.writeable:
+                column = column.copy()
+                column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.model == other.model and self.start_index == other.start_index
+                and np.array_equal(self.predicted_values, other.predicted_values)
+                and np.array_equal(self.observed_values, other.observed_values)
+                and np.array_equal(self.fallback_flags, other.fallback_flags)
+                and self.residuals == other.residuals and self.errors == other.errors)
+
+    @_built_on_read
+    def predictions(self) -> Tuple[Tuple[int, float, float], ...]:
+        """(index, predicted, observed) per step."""
+        first = self.start_index
+        return tuple(zip(range(first, first + self.predicted_values.size),
+                         self.predicted_values.tolist(), self.observed_values.tolist()))
+
+    @_built_on_read
+    def fallbacks(self) -> Tuple[bool, ...]:
+        """Whether each step fell back to persistence."""
+        return tuple(self.fallback_flags.tolist())
+
     def predicted(self) -> np.ndarray:
-        return np.array([p for _, p, _ in self.predictions])
+        return self.predicted_values.copy()
 
     def observed(self) -> np.ndarray:
-        return np.array([o for _, _, o in self.predictions])
+        return self.observed_values.copy()
 
     @property
     def fallback_count(self) -> int:
-        return sum(self.fallbacks)
+        return int(np.count_nonzero(self.fallback_flags))
 
 
 def _harmonic_cap(config: RollingConfig, residual_count: int) -> int:
@@ -198,7 +265,7 @@ def _resolve(config: RollingConfig, specs) -> RollingConfig:
 
 def _window(values: np.ndarray, config: RollingConfig) -> int:
     """The roll's window; raises if ``values`` is too short for one step."""
-    w = config.effective_window()
+    w = config._effective_window
     if values.size < w + 1:
         raise InsufficientDataError(f"series of {values.size} < window {w} + 1")
     return w
@@ -216,10 +283,9 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
     """
     values = series.values
     w = _window(values, config)
-    n = values.size
     kind, ef, bench = config._parsed
     start, borrowed = time.perf_counter(), _borrowed()
-    count = n - w
+    count = values.size - w
     in_window = ef and config.ef_in_window
     observed = values[w:]
     if bench is None:
@@ -248,16 +314,15 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
             predicted[steps] += corrections
             failed[list(ef_errors)] = True
             messages.update(ef_errors)
-        fallback = values[w - 1:-1]  # persistence
         if messages:
-            predicted = np.where(failed, fallback, predicted)
+            predicted = np.where(failed, values[w - 1:-1], predicted)  # persistence
         if config.clamp_nonnegative:
             predicted = _clamped(predicted)
-        try:
-            residuals = ResidualSeries(observed - predicted, start_index=w + 1)
-        except InvalidInputError:
+        misses = observed - predicted
+        if not all_finite(misses):
             # Some forecast misses by more than the float range: persistence.
-            missed = ~np.isfinite(observed - predicted)
+            missed = ~np.isfinite(misses)
+            fallback = values[w - 1:-1]
             if config.clamp_nonnegative:
                 fallback = _clamped(fallback)
             predicted = np.where(missed, fallback, predicted)
@@ -265,23 +330,38 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
             if not all_finite(misses):
                 i = w + int(np.argmin(np.isfinite(misses)))
                 raise InvalidInputError(f"values at indices {i - 1} and {i} differ by "
-                                        "more than the float range") from None
-            residuals = ResidualSeries(misses, start_index=w + 1)
+                                        "more than the float range")
             failed |= missed
             messages.update(dict.fromkeys(np.flatnonzero(missed).tolist(), RESIDUAL_OVERFLOW))
     errors = ()
     if messages:
         steps = np.flatnonzero(failed).tolist()
         errors = tuple(zip([w + 1 + j for j in steps], map(messages.__getitem__, steps)))
+    for column in (predicted, failed, misses):  # observed is a view of read-only values
+        column.setflags(write=False)
     share = (time.perf_counter() - start + _borrowed() - borrowed) / count
-    return ForecastTrace(
+    return _without_init(
+        ForecastTrace,
         model=config.model,
-        predictions=tuple(zip(range(w + 1, n + 1), predicted.tolist(), observed.tolist())),
-        residuals=residuals,
+        start_index=w + 1,
+        predicted_values=predicted,
+        observed_values=observed,
+        fallback_flags=failed,
+        residuals=_without_init(ResidualSeries, values=misses, start_index=w + 1),
         per_step_time=(share,) * count,
-        fallbacks=tuple(failed.tolist()),
         errors=errors,
     )
+
+
+def _without_init(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, made
+    without calling ``cls.__init__``. The roll owns those fields and has
+    checked them and made them read-only itself; the checks and frozen-field
+    assignments of ``__init__`` would cost a one-step online roll about what
+    building its per-step tuples did."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 #: The message of a step whose forecast misses its observation by more than
@@ -544,7 +624,7 @@ def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
     with _sharing():
         for omega in grid.candidates():
             trace = roll_forecast(series, replace(base, omega=float(omega)))
-            if all(trace.fallbacks):
+            if trace.fallback_flags.all():
                 continue
             err = trace.residuals.values
             with np.errstate(over="ignore"):
