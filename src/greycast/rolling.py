@@ -50,6 +50,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -133,32 +134,14 @@ class RollingConfig:
         if self.multi_step < 1:
             raise InvalidInputError("multi_step must be >= 1")
         # A frozen config parses its model once; every roll reads the parse.
-        kind, _, bench = parsed = parse_model(self.model)
-        object.__setattr__(self, "_parsed", parsed)
-        # GM_SC has four parameters; a 4-point window gives only 3 equations.
-        object.__setattr__(self, "_effective_window", self.window if bench is not None
-                           else max(self.window, MIN_WINDOW[kind]))
+        object.__setattr__(self, "_parsed", parse_model(self.model))
 
     def effective_window(self) -> int:
-        return self._effective_window
-
-
-class _built_on_read:
-    """A value computed from an object on its first read and then kept in
-    the object's ``__dict__``, where later reads find it without a call:
-    ``functools.cached_property`` without the lock it takes before Python
-    3.12, which costs a one-step online roll about 1 µs."""
-
-    def __init__(self, build):
-        self.build = build
-        self.name = build.__name__
-        self.__doc__ = build.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.build(obj)
-        return value
+        kind, _, bench = self._parsed
+        if bench is not None:
+            return self.window
+        # GM_SC has four parameters; a 4-point window gives only 3 equations.
+        return max(self.window, MIN_WINDOW[kind])
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,14 +189,14 @@ class ForecastTrace:
                 and np.array_equal(self.fallback_flags, other.fallback_flags)
                 and self.residuals == other.residuals and self.errors == other.errors)
 
-    @_built_on_read
+    @cached_property
     def predictions(self) -> Tuple[Tuple[int, float, float], ...]:
         """(index, predicted, observed) per step."""
         first = self.start_index
         return tuple(zip(range(first, first + self.predicted_values.size),
                          self.predicted_values.tolist(), self.observed_values.tolist()))
 
-    @_built_on_read
+    @cached_property
     def fallbacks(self) -> Tuple[bool, ...]:
         """Whether each step fell back to persistence."""
         return tuple(self.fallback_flags.tolist())
@@ -265,7 +248,7 @@ def _resolve(config: RollingConfig, specs) -> RollingConfig:
 
 def _window(values: np.ndarray, config: RollingConfig) -> int:
     """The roll's window; raises if ``values`` is too short for one step."""
-    w = config._effective_window
+    w = config.effective_window()
     if values.size < w + 1:
         raise InsufficientDataError(f"series of {values.size} < window {w} + 1")
     return w
@@ -283,9 +266,10 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
     """
     values = series.values
     w = _window(values, config)
+    n = values.size
     kind, ef, bench = config._parsed
     start, borrowed = time.perf_counter(), _borrowed()
-    count = values.size - w
+    count = n - w
     in_window = ef and config.ef_in_window
     observed = values[w:]
     if bench is None:
@@ -314,15 +298,16 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
             predicted[steps] += corrections
             failed[list(ef_errors)] = True
             messages.update(ef_errors)
+        fallback = values[w - 1:-1]  # persistence
         if messages:
-            predicted = np.where(failed, values[w - 1:-1], predicted)  # persistence
+            predicted = np.where(failed, fallback, predicted)
         if config.clamp_nonnegative:
             predicted = _clamped(predicted)
-        misses = observed - predicted
-        if not all_finite(misses):
+        try:
+            residuals = ResidualSeries(observed - predicted, start_index=w + 1)
+        except InvalidInputError:
             # Some forecast misses by more than the float range: persistence.
-            missed = ~np.isfinite(misses)
-            fallback = values[w - 1:-1]
+            missed = ~np.isfinite(observed - predicted)
             if config.clamp_nonnegative:
                 fallback = _clamped(fallback)
             predicted = np.where(missed, fallback, predicted)
@@ -330,38 +315,27 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
             if not all_finite(misses):
                 i = w + int(np.argmin(np.isfinite(misses)))
                 raise InvalidInputError(f"values at indices {i - 1} and {i} differ by "
-                                        "more than the float range")
+                                        "more than the float range") from None
+            residuals = ResidualSeries(misses, start_index=w + 1)
             failed |= missed
             messages.update(dict.fromkeys(np.flatnonzero(missed).tolist(), RESIDUAL_OVERFLOW))
     errors = ()
     if messages:
         steps = np.flatnonzero(failed).tolist()
         errors = tuple(zip([w + 1 + j for j in steps], map(messages.__getitem__, steps)))
-    for column in (predicted, failed, misses):  # observed is a view of read-only values
+    for column in (predicted, failed):  # the trace keeps them, so it need not copy them
         column.setflags(write=False)
     share = (time.perf_counter() - start + _borrowed() - borrowed) / count
-    return _without_init(
-        ForecastTrace,
+    return ForecastTrace(
         model=config.model,
         start_index=w + 1,
         predicted_values=predicted,
         observed_values=observed,
         fallback_flags=failed,
-        residuals=_without_init(ResidualSeries, values=misses, start_index=w + 1),
+        residuals=residuals,
         per_step_time=(share,) * count,
         errors=errors,
     )
-
-
-def _without_init(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields``, made
-    without calling ``cls.__init__``. The roll owns those fields and has
-    checked them and made them read-only itself; the checks and frozen-field
-    assignments of ``__init__`` would cost a one-step online roll about what
-    building its per-step tuples did."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 #: The message of a step whose forecast misses its observation by more than
