@@ -7,6 +7,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
+from .series import all_finite
 
 # Observations smaller than this are excluded from MAPE instead of dividing.
 MAPE_ZERO_GUARD = 1e-9
@@ -17,7 +18,7 @@ def _paired(predicted, observed):
     o = np.asarray(observed, dtype=float)
     if p.shape != o.shape or p.ndim != 1 or p.size < 1:
         raise InvalidInputError("predicted and observed must be equal-length 1-d")
-    if not (np.isfinite(p).all() and np.isfinite(o).all()):
+    if not (all_finite(p) and all_finite(o)):
         raise InvalidInputError("metric inputs must be finite")
     return p, o
 
@@ -44,11 +45,13 @@ def mape(predicted: Sequence[float], observed: Sequence[float]) -> MapeResult:
     """
     p, o = _paired(predicted, observed)
     keep = np.abs(o) >= MAPE_ZERO_GUARD
-    excluded = int(np.size(keep) - np.count_nonzero(keep))
-    if not keep.any():
+    excluded = o.size - int(np.count_nonzero(keep))
+    if excluded == o.size:
         return MapeResult(0.0, excluded)
+    if excluded:
+        p, o = p[keep], o[keep]
     with np.errstate(over="ignore"):  # a huge but finite miss gives inf, silently
-        value = float(np.mean(np.abs((p[keep] - o[keep]) / o[keep])) * 100.0)
+        value = float(np.mean(np.abs((p - o) / o)) * 100.0)
     return MapeResult(value, excluded)
 
 

@@ -65,6 +65,10 @@ DEGENERATE_A = 1e-12
 # Denominator guard for the Verhulst product form.
 GVM_DENOM_FLOOR = 1e-12
 
+#: The message, less the time, of a frequency for which omega * t overflows
+#: at a time t where a fit or closed form takes sin(omega t) or cos(omega t).
+OMEGA_OVERFLOW = "omega * t overflows the float range"
+
 
 class ModelKind(enum.Enum):
     GM11 = "GM11"
@@ -267,8 +271,9 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
     freq = None
     if row.omega is not None:
         freq = row.omega if omega is None else float(omega)
-        if not freq > 0:
-            fails.add_all(lambda i: InvalidInputError("omega must be positive"))
+        message = _omega_message(freq, w)
+        if message is not None:
+            fails.add_all(lambda i: InvalidInputError(message))
     if w < 4:
         fails.add_all(lambda i: InsufficientDataError(f"window of {w} < 4 observations"))
     elif n and not (x.min() >= 0.0 and x.max() < np.inf):
@@ -322,19 +327,20 @@ def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = Non
     """GM_ESC on the windows that ``stage_one``, GM(1,1)'s fit, was fitted on.
 
     Stage 2 regresses stage 1's residuals on e^(-k a) sin(omega k) and
-    e^(-k a) cos(omega k), over stage 1's own mean sequence. A non-positive
-    ``omega`` fails every window first; otherwise a window keeps its stage-1
-    error. ``stage_one`` is left as it is, so one GM(1,1) fit can serve every
+    e^(-k a) cos(omega k), over stage 1's own mean sequence. An ``omega``
+    that is not positive, or for which omega * w overflows, fails every window
+    first; otherwise a window keeps its stage-1 error. ``stage_one`` is left as it is, so one GM(1,1) fit can serve every
     frequency.
     """
     x = np.asarray(windows, dtype=float)
     n, w = x.shape
     freq = DEFAULT_OMEGA[ModelKind.GM_ESC] if omega is None else float(omega)
-    if freq > 0:
+    message = _omega_message(freq, w)
+    if message is None:
         fails = stage_one.failures.copy()
     else:
         fails = Failures(n)
-        fails.add_all(lambda i: InvalidInputError("omega must be positive"))
+        fails.add_all(lambda i: InvalidInputError(message))
     if fails.errors and fails.failed.all():
         return _all_failed(ModelKind.GM_ESC, n, freq, w, fails)
     a, b = stage_one.a, stage_one.b
@@ -351,6 +357,15 @@ def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = Non
     system[..., 2] = residuals
     bs, bc = _solve(fails, system)
     return WindowFits(ModelKind.GM_ESC, a, b, bs, bc, x[:, 0], freq, w, fails)
+
+
+def _omega_message(freq: float, w: int) -> Optional[str]:
+    """Why no w-point window can be fitted at frequency ``freq``, if none can."""
+    if not freq > 0:
+        return "omega must be positive"
+    if math.isinf(freq * w):
+        return f"{OMEGA_OVERFLOW} at t = {w}"
+    return None
 
 
 def _all_failed(kind: ModelKind, n: int, freq, w: int, fails: Failures) -> WindowFits:
@@ -404,9 +419,15 @@ def _increment(fits: WindowFits, u: float, s: float) -> np.ndarray:
     term of size b/a is formed and no accumulated value is differenced; the
     form holds as it stands at a = 0. A window whose value is not finite
     because an exponential overflows gets the error of an overflowing
-    ``math.exp``.
+    ``math.exp``. If omega * t overflows at a time the form reads q at,
+    every window fails.
     """
     a, b, x0 = fits.a, fits.b, fits.x0_1
+    if fits.kind is not ModelKind.GM11:
+        t = max(1.0, abs(u), abs(u + s))
+        if math.isinf(fits.omega * t):
+            fits.failures.add_all(lambda i: InvalidInputError(f"{OMEGA_OVERFLOW} at t = {t:g}"))
+            return np.full(a.size, np.nan)
     x = a * -s
     growth = np.expm1(x)
     ratio = growth / x

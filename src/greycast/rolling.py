@@ -29,7 +29,12 @@ The EF correction is a linear filter of each step's residuals
 residual buffer holds base residuals only, so every step's buffer follows
 from the base forecasts and their failures; the weights depend only on the
 buffer length, the harmonic count and the step's offset from the buffer's
-first index.
+first index. Once buffers are full, position q of the S full buffers is the
+slice eps[q:q + S] of the base residuals, so the correction is summed over
+buffer positions: each adds its weight times its slice, in the order
+``series.row_sums`` adds a row, and no per-step weight row or residual
+window is built. The in-window correction sums its one weight row the same
+way.
 
 Within one ``report.compare`` or ``calibrate_omega`` call the rolls share
 their fits (``_sharing``): each distinct fit of a (kind, window length, batch,
@@ -46,6 +51,7 @@ history per arrival, where a roll's fixed cost is most of its cost.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -125,6 +131,13 @@ class RollingConfig:
     multi_step: int = 1  # forecast horizon, without refitting
 
     def __post_init__(self):
+        for name in ("window", "ef_residual_window", "ef_harmonics", "multi_step"):
+            value = getattr(self, name)
+            if value is not None or name != "ef_harmonics":
+                try:
+                    operator.index(value)
+                except TypeError:
+                    raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
         if self.window < 4:
             raise InvalidInputError("window must be at least 4")
         if self.ef_residual_window < 3:
@@ -488,38 +501,56 @@ def _buffered_corrections(residuals: np.ndarray, failed: np.ndarray,
     """
     ok = np.flatnonzero(~failed)
     eps = residuals[ok]
-    i = np.arange(1, ok.size)  # base-OK steps with a non-empty buffer
-    lengths = np.minimum(i, config.ef_residual_window)
     weights, rejected = {}, {}
-    for n in range(1, int(lengths.max(initial=0)) + 1):
+    for n in range(1, min(ok.size - 1, config.ef_residual_window) + 1):
         try:
             weights[n] = correction_weights(n, _harmonic_cap(config, n))
         except SingularSystemError as exc:
             rejected[n] = str(exc)
-    nonfinite = np.concatenate(([0], np.cumsum(~np.isfinite(eps))))
-    finite = nonfinite[i] == nonfinite[i - lengths]
-    stop = ~finite | np.isin(lengths, list(rejected))
-    end = int(np.argmax(stop)) if stop.any() else i.size
-    errors = {}
-    if end < i.size:
-        message = rejected[lengths[end]] if finite[end] else NON_FINITE_RESIDUALS
-        errors = dict.fromkeys(ok[1 + end:].tolist(), message)
-    i, lengths = i[:end], lengths[:end]
-    if not i.size:
-        return i, eps[:0], errors
+    # Step i's buffer ends at eps[i - 1] and holds i residuals while i <= R.
+    # So the first step to read a non-finite residual is one past it, and
+    # the first to need a rejected length is that length.
+    stop, message = ok.size, None
+    if not all_finite(eps):
+        stop, message = int(np.argmin(np.isfinite(eps))) + 1, NON_FINITE_RESIDUALS
+    if rejected and min(rejected) < stop:
+        stop = min(rejected)
+        message = rejected[stop]
+    errors = dict.fromkeys(ok[stop:].tolist(), message)
+    end = stop - 1  # steps 1..end are corrected
+    if end < 1:
+        return ok[:0], eps[:0], errors
     # The series fitted to a buffer has period T = max(n - 1, 1), so the step
     # after the latest residual is at offset (latest + 1 - first) mod T; gaps
     # left by fallbacks count, as the buffer keeps each residual's own index.
-    offsets = (ok[i - 1] + 1 - ok[i - lengths]) % np.maximum(lengths - 1, 1)
     # Buffers grow by one per step up to ``width`` residuals, then keep that
-    # length; each row is right-aligned, with zero weights on the left.
-    width = int(lengths[-1])
-    rows = np.zeros((i.size, width))
+    # length. The growing ones are right-aligned rows, zero on the left.
+    width = min(end, config.ef_residual_window)
+    first = ok[:width].tolist()
+    rows = np.zeros((width - 1, width))
     for r in range(width - 1):
-        rows[r, width - 1 - r:] = weights[r + 1][offsets[r]]
-    rows[width - 1:] = weights[width][offsets[width - 1:]]
-    windows = sliding_window_view(np.concatenate((np.zeros(width), eps)), width)[i]
-    return ok[i], row_sums(rows * windows), errors
+        rows[r, width - 1 - r:] = weights[r + 1][(first[r] + 1 - first[0]) % max(r, 1)]
+    padded = np.concatenate((np.zeros(width), eps[:width - 1]))
+    ramp = row_sums(rows * sliding_window_view(padded, width)[1:])
+    # Full buffers: position q of steps width..end is the slice eps[q:q + S].
+    count = end - width + 1
+    offsets = (ok[width - 1:end] + 1 - ok[:count]) % max(width - 1, 1)
+    if not np.count_nonzero(offsets != offsets[0]):
+        offsets = offsets[0]
+    full = _filtered(weights[width], offsets, sliding_window_view(eps, count))
+    return ok[1:stop], np.concatenate((ramp, full)), errors
+
+
+def _filtered(weights: np.ndarray, offsets, columns: np.ndarray) -> np.ndarray:
+    """Each step's filter row ``weights[offset]`` applied to its residuals,
+    which are ``columns[q]`` for buffer position q: the sum over q of
+    ``weights[offsets, q] * columns[q]``, added left to right as ``row_sums``
+    adds a row. ``offsets`` is one offset for every step or one per step."""
+    by_position = weights.T
+    total = by_position[0][offsets] * columns[0]
+    for q in range(1, by_position.shape[0]):
+        total += by_position[q][offsets] * columns[q]
+    return total
 
 
 def _in_window_corrections(values: np.ndarray, w: int, fitted: np.ndarray,
@@ -529,15 +560,21 @@ def _in_window_corrections(values: np.ndarray, w: int, fitted: np.ndarray,
     forecast at index w + 1."""
     ok = np.flatnonzero(~failed)
     n = w - 1
-    windows = sliding_window_view(values, n)[ok + 1] - fitted[ok]
-    finite = np.isfinite(windows).all(axis=1)
+    # Row q holds every window's residual at buffer position q.
+    observed, fits = sliding_window_view(values[1:], failed.size)[:n], fitted.T
+    if ok.size < failed.size:
+        observed, fits = observed[:, ok], fits[:, ok]
+    columns = observed - fits
+    finite = np.isfinite(columns).all(axis=0)
     errors = dict.fromkeys(ok[~finite].tolist(), NON_FINITE_RESIDUALS)
     try:
         weights = correction_weights(n, _harmonic_cap(config, n))
     except SingularSystemError as exc:
         errors.update(dict.fromkeys(ok[finite].tolist(), str(exc)))
         return ok[:0], values[:0], errors
-    return ok[finite], row_sums(weights[n % weights.shape[0]] * windows[finite]), errors
+    if errors:
+        columns = columns[:, finite]
+    return ok[finite], _filtered(weights, n % weights.shape[0], columns), errors
 
 
 #: The most candidates a grid may hold; the default grid has 2,000.
