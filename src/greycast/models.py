@@ -329,8 +329,8 @@ def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = Non
     Stage 2 regresses stage 1's residuals on e^(-k a) sin(omega k) and
     e^(-k a) cos(omega k), over stage 1's own mean sequence. An ``omega``
     that is not positive, or for which omega * w overflows, fails every window
-    first; otherwise a window keeps its stage-1 error. ``stage_one`` is left as it is, so one GM(1,1) fit can serve every
-    frequency.
+    first; otherwise a window keeps its stage-1 error. ``stage_one`` is left
+    as it is, so one GM(1,1) fit can serve every frequency.
     """
     x = np.asarray(windows, dtype=float)
     n, w = x.shape

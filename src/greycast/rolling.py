@@ -532,7 +532,7 @@ def _buffered_corrections(residuals: np.ndarray, failed: np.ndarray,
         rows[r, width - 1 - r:] = weights[r + 1][(first[r] + 1 - first[0]) % max(r, 1)]
     padded = np.concatenate((np.zeros(width), eps[:width - 1]))
     ramp = row_sums(rows * sliding_window_view(padded, width)[1:])
-    # Full buffers: position q of steps width..end is the slice eps[q:q + S].
+    # Full buffers: position q of steps width..end is the slice eps[q:q + count].
     count = end - width + 1
     offsets = (ok[width - 1:end] + 1 - ok[:count]) % max(width - 1, 1)
     if not np.count_nonzero(offsets != offsets[0]):
