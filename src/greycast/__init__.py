@@ -14,7 +14,6 @@ from .benchmarks import (
 from .config import BenchmarkConfig, load_config
 from .data import (
     Dataset,
-    TrafficParameter,
     aggregate,
     augment_stuck_values,
     generate_synthetic,

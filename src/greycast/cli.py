@@ -69,7 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fc.add_argument("model", help=f"one of {', '.join(ALL_MODEL_NAMES)}")
     fc.add_argument("--input", required=True, help="timestamp,value CSV")
     fc.add_argument("--output", default=None, help="write the trace CSV here")
-    fc.add_argument("--steps", type=int, default=1, help="forecast horizon per window")
+    fc.add_argument("--steps", type=int, default=1, metavar="H",
+                    help="forecast horizon: the row for target t holds the forecast H "
+                         "steps past the window ending at t-1 (of index t+H-1), scored "
+                         "against observation t; benchmark models ignore it")
 
     cal = sub.add_parser("calibrate", help="grid-search the frequency of a grey model")
     cal.add_argument("model", help="GM_S, GM_C, GM_SC or GM_ESC")

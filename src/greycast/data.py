@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import enum
 import math
 import os
 from dataclasses import dataclass, field
@@ -30,20 +29,12 @@ def resolve_seed(seed: Optional[int]) -> int:
     return DEFAULT_SEED
 
 
-class TrafficParameter(enum.Enum):
-    SPEED = "speed"
-    TRAVEL_TIME = "travelTime"
-    VOLUME = "volume"
-    OCCUPANCY = "occupancy"
-
-
 @dataclass(frozen=True)
 class Dataset:
-    """A set of same-interval series plus labeling metadata."""
+    """A set of same-interval series and the source they were read from."""
 
     series: Tuple[Series, ...]
     source: str = ""
-    parameter: TrafficParameter = TrafficParameter.SPEED
 
     def __post_init__(self):
         if not self.series:
@@ -71,8 +62,7 @@ def _parse_timestamp(raw: str, line_no: int):
         ) from exc
 
 
-def ingest_csv(path: str, interval: Optional[float] = None,
-               parameter: TrafficParameter = TrafficParameter.SPEED) -> Dataset:
+def ingest_csv(path: str, interval: Optional[float] = None) -> Dataset:
     """Read a ``timestamp,value[,location]`` CSV into one series per (day, location).
 
     The first line is a header. Timestamps are ISO-8601 (grouped by calendar
@@ -133,7 +123,7 @@ def ingest_csv(path: str, interval: Optional[float] = None,
             raise InvalidInputError("could not infer a positive sampling interval")
         label = " ".join(part for part in (day, location) if part) or os.path.basename(path)
         series.append(Series(np.array(values), interval=step, label=label))
-    return Dataset(series=tuple(series), source=path, parameter=parameter)
+    return Dataset(series=tuple(series), source=path)
 
 
 def aggregate(series: Series, target_interval: float) -> Series:

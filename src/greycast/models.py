@@ -232,17 +232,15 @@ def _solve(fails: Failures, system: np.ndarray, block: Optional[SharedBlock] = N
                   lambda i: InvalidInputError("least-squares entries must be finite"))
     if not fails.errors:
         result = solve(system[..., :p], system[..., p])
-        fails.add(result.rejected, lambda i: singular_error(float(result.condition[i])))
-        return result.solutions.T
-    params = np.full((p, n), np.nan)
-    rows = np.flatnonzero(~fails.failed)
-    if rows.size:
-        result = solve(system[rows, :, :p], system[rows, :, p])
-        params[:, rows] = result.solutions.T
-        rejected = np.zeros(n, dtype=bool)
-        rejected[rows] = result.rejected
-        condition = dict(zip(rows.tolist(), result.condition.tolist()))
-        fails.add(rejected, lambda i: singular_error(condition[i]))
+        params, rejected, condition = result.solutions.T, result.rejected, result.condition
+    else:
+        params, rejected, condition = np.full((p, n), np.nan), np.zeros(n, dtype=bool), np.zeros(n)
+        rows = np.flatnonzero(~fails.failed)
+        if rows.size:
+            result = solve(system[rows, :, :p], system[rows, :, p])
+            params[:, rows], rejected[rows], condition[rows] = (
+                result.solutions.T, result.rejected, result.condition)
+    fails.add(rejected, lambda i: singular_error(float(condition[i])))
     return params
 
 

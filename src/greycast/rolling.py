@@ -128,7 +128,10 @@ class RollingConfig:
     clamp_nonnegative: bool = False
     benchmark_spec: object = None  # LinearSpec / ArimaSpec / SetarSpec override
     standard_psi: bool = False
-    multi_step: int = 1  # forecast horizon, without refitting
+    # Forecast horizon h, without refitting: the step for target t holds the
+    # forecast of index t + h - 1 from the window ending at t - 1, and is
+    # scored against observation t. The benchmark models ignore it.
+    multi_step: int = 1
 
     def __post_init__(self):
         for name in ("window", "ef_residual_window", "ef_harmonics", "multi_step"):
@@ -312,17 +315,15 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
             failed[list(ef_errors)] = True
             messages.update(ef_errors)
         fallback = values[w - 1:-1]  # persistence
+        if config.clamp_nonnegative:
+            predicted, fallback = _clamped(predicted), _clamped(fallback)
         if messages:
             predicted = np.where(failed, fallback, predicted)
-        if config.clamp_nonnegative:
-            predicted = _clamped(predicted)
         try:
             residuals = ResidualSeries(observed - predicted, start_index=w + 1)
         except InvalidInputError:
             # Some forecast misses by more than the float range: persistence.
             missed = ~np.isfinite(observed - predicted)
-            if config.clamp_nonnegative:
-                fallback = _clamped(fallback)
             predicted = np.where(missed, fallback, predicted)
             misses = observed - predicted
             if not all_finite(misses):
@@ -617,14 +618,18 @@ def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
     Calibration runs once on one series and the winner is reused elsewhere.
     Candidates are tried from the smallest up, and one replaces the best so
     far only if its RMSE is lower by more than ``TIE_TOLERANCE`` * eps times
-    the RMS of the observed targets: ties keep the smaller candidate. An
-    error a roll raises belongs to the series, not to a frequency, so it
-    propagates.
+    the RMS of the observed targets: ties keep the smaller candidate. A
+    candidate whose phase ω·t the floats resolve to no better than half a turn
+    at the forecast time (ulp(ω·(w + h)) > π), or whose every step falls back,
+    is skipped. An error a roll raises belongs to the series, not to a
+    frequency, so it propagates.
     """
     if kind not in TRIG_KINDS:
         raise InvalidInputError(f"{kind.value} has no frequency to calibrate")
     base = replace(config if config is not None else RollingConfig(), model=kind.value)
-    observed = series.values[_window(series.values, base):]
+    w = _window(series.values, base)
+    observed = series.values[w:]
+    latest = w + base.multi_step  # the largest t at which a roll evaluates sin(ω t)
     # The RMS of the targets scaled by the power of two of the largest, so it
     # cannot overflow.
     _, scale = math.frexp(float(np.abs(observed).max()))
@@ -634,6 +639,8 @@ def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
     best_omega, best_rmse = None, math.inf
     with _sharing():
         for omega in grid.candidates():
+            if math.ulp(float(omega) * latest) > math.pi:
+                break  # every later candidate is larger, so coarser still
             trace = roll_forecast(series, replace(base, omega=float(omega)))
             if trace.fallback_flags.all():
                 continue
