@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InsufficientDataError, InvalidInputError
 from .series import Series
@@ -238,21 +238,28 @@ def forecast_histories(spec, values: np.ndarray, first: int,
     need = spec.min_history
     count = values.size - first + 1
     short = min(max(need - first, 0), count)
-    messages = dict(enumerate(_short_messages(first, need)[:short]))
-    forecasts = np.full(count, np.nan)
+    messages = dict(_short_messages(first, need, short))
+    forecasts = np.empty(count)
+    if short:
+        forecasts[:short] = np.nan
     lo = first + short  # the first history long enough
     if lo <= values.size:
-        # Row k holds values[k:k + need], the tail of the history ending at k + need.
+        # Row k holds values[k:k + need], the tail of the history ending at
+        # k + need: a strided view, as ``sliding_window_view`` makes it,
+        # without that function's fixed cost of about 10 us.
+        step = values.strides[0]
         tails = (values[None, lo - need:] if lo == values.size
-                 else sliding_window_view(values, need)[lo - need:])
+                 else as_strided(values[lo - need:], shape=(count - short, need),
+                                 strides=(step, step), writeable=False))
         forecasts[short:] = _forecast_rows(spec, tails, standard)
     return forecasts, messages
 
 
 @functools.lru_cache(maxsize=64)
-def _short_messages(first: int, need: int) -> Tuple[str, ...]:
-    """The messages of the histories of length first .. need - 1."""
-    return tuple(f"history of {end} < required {need}" for end in range(first, need))
+def _short_messages(first: int, need: int, short: int) -> Dict[int, str]:
+    """{row: message} of the histories of length first .. first + short - 1,
+    all shorter than ``need``. Kept for reuse, so callers copy it."""
+    return {row: f"history of {first + row} < required {need}" for row in range(short)}
 
 
 def _forecast_one(spec, history, standard: bool = False) -> float:

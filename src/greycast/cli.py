@@ -197,8 +197,31 @@ def _cmd_synth(args, specs) -> int:
     return EXIT_OK
 
 
+def _float_values_joined(argv: List[str]) -> List[str]:
+    """``argv`` with each ``--omega X`` whose X is a float literal written
+    ``--omega=X``. argparse reads a token such as -1e3 or -inf, which its
+    negative-number pattern does not match, as an option and stops; the
+    joined spelling parses as the same float."""
+    args, i = [], 0
+    while i < len(argv):
+        token = argv[i]
+        if token == "--omega" and i + 1 < len(argv):
+            try:
+                float(argv[i + 1])
+            except ValueError:
+                pass
+            else:
+                args.append(f"--omega={argv[i + 1]}")
+                i += 2
+                continue
+        args.append(token)
+        i += 1
+    return args
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_float_values_joined(argv))
     handlers = {
         "forecast": _cmd_forecast,
         "calibrate": _cmd_calibrate,

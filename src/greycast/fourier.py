@@ -53,6 +53,14 @@ class ResidualSeries:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _unchecked(cls, values: np.ndarray, start_index: int) -> "ResidualSeries":
+        """The series of ``values``, a finite, non-empty, read-only 1-d float
+        array, kept as it is: the constructor without its copy and checks."""
+        series = object.__new__(cls)
+        series.__dict__.update(values=values, start_index=start_index)
+        return series
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResidualSeries):
             return NotImplemented

@@ -116,10 +116,16 @@ def solve_stacked(designs: np.ndarray, targets: np.ndarray) -> StackedSolution:
     """
     n, m, p = designs.shape
     if p == 2 and 0 < n < MIN_JACOBI_STACK:
+        # Each system's two design columns and its target columns, as lists.
         targets = np.asarray(targets)
-        solutions, condition, rejected = zip(*[_solve_one(designs[i], targets[i])
-                                               for i in range(n)])
-        return StackedSolution(np.array(solutions), np.array(condition), np.array(rejected))
+        columns = (targets.transpose(0, 2, 1) if targets.ndim == 3 else targets[:, None])
+        size = max(m, p)
+        solutions, condition, rejected = zip(*[
+            _solve_one(col0, col1, rhs, size) for (col0, col1), rhs
+            in zip(designs.transpose(0, 2, 1).tolist(), columns.tolist())])
+        solutions = np.array(solutions)  # (N, k, 2)
+        return StackedSolution(solutions.transpose(0, 2, 1) if targets.ndim == 3
+                               else solutions[:, 0], np.array(condition), np.array(rejected))
     targets = np.ascontiguousarray(targets, dtype=float)
     columns = targets if targets.ndim == 3 else targets[:, :, None]
     if p == 2:
@@ -224,8 +230,8 @@ def solve_shared(designs: np.ndarray, targets: np.ndarray,
     if block.basis is None or not n:
         return solve_stacked(designs, targets)
     if n < MIN_PROJECTION_STACK:
-        solutions, bound = zip(*[_project_one(designs[i, :, 0].tolist(), targets[i].tolist(),
-                                              block) for i in range(n)])
+        solutions, bound = zip(*[_project_one(first, target, block) for first, target
+                                 in zip(designs[:, :, 0].tolist(), targets.tolist())])
         solutions, bound = np.array(solutions), np.array(bound)
     else:
         with np.errstate(all="ignore"):  # windows that fail the bound may not be finite
@@ -382,16 +388,15 @@ def _jacobi_stack(designs: np.ndarray, columns: np.ndarray):
     return solutions.transpose(2, 0, 1), sigma.max(axis=0), sigma.min(axis=0)
 
 
-def _solve_one(design: np.ndarray, target: np.ndarray):
+def _solve_one(col0: list, col1: list, columns: list, size: int):
     """One two-column system by ``_jacobi_one``, then the rank rule and
-    condition gate of ``solve_stacked`` on floats: its solution, (2,) or
-    (2, k), its condition estimate and whether it is rejected."""
-    col0, col1 = design.T.tolist()
-    columns = target.T.tolist() if target.ndim == 2 else [target.tolist()]
+    condition gate of ``solve_stacked`` on floats, with ``size`` the larger
+    of its dimensions: a (x0, x1) solution per target column, the condition
+    estimate and whether the system is rejected."""
     solution, smax, smin = _jacobi_one(col0, col1, columns)
     condition = smax / smin if smin else math.inf
-    rejected = smin <= _EPS * max(design.shape) * smax or condition > CONDITION_LIMIT
-    return np.array(solution).T if target.ndim == 2 else solution[0], condition, rejected
+    rejected = smin <= _EPS * size * smax or condition > CONDITION_LIMIT
+    return solution, condition, rejected
 
 
 def _jacobi_one(col0: list, col1: list, columns: list):
@@ -408,31 +413,38 @@ def _jacobi_one(col0: list, col1: list, columns: list):
     a0 = [math.ldexp(u, -scale) for u in col0]
     a1 = [math.ldexp(v, -scale) for v in col1]
     v00, v01, v10, v11 = 1.0, 0.0, 0.0, 1.0
-    for sweep in range(_SWEEPS + 1):
-        rows = zip(a0, a1)
-        u, v = next(rows)
-        alpha, beta, gamma = u * u, v * v, u * v
-        for u, v in rows:
-            alpha += u * u
-            beta += v * v
-            gamma += u * v
-        if (sweep == _SWEEPS or not abs(gamma) > _EPS * math.sqrt(alpha * beta)
+    # Each sum starts from -0.0, the identity of IEEE addition, so it equals
+    # the sum that starts from its first term, as ``row_sums`` adds a row.
+    alpha = beta = gamma = -0.0
+    for u, v in zip(a0, a1):
+        alpha += u * u
+        beta += v * v
+        gamma += u * v
+    for _ in range(_SWEEPS):
+        if (not abs(gamma) > _EPS * math.sqrt(alpha * beta)
                 or min(alpha, beta) < _HOPELESS * max(alpha, beta)):
             break
         zeta = (beta - alpha) / (2.0 * gamma)
         t = math.copysign(1.0 / (abs(zeta) + math.sqrt(1.0 + zeta * zeta)), zeta)
         c = 1.0 / math.sqrt(1.0 + t * t)
         s = c * t
-        a0, a1 = ([c * u - s * v for u, v in zip(a0, a1)],
-                  [s * u + c * v for u, v in zip(a0, a1)])
+        # Rotate the columns and sum the rotated ones in one pass.
+        b0, b1 = [], []
+        alpha = beta = gamma = -0.0
+        for u, v in zip(a0, a1):
+            u, v = c * u - s * v, s * u + c * v
+            b0.append(u)
+            b1.append(v)
+            alpha += u * u
+            beta += v * v
+            gamma += u * v
+        a0, a1 = b0, b1
         v00, v01 = c * v00 - s * v01, s * v00 + c * v01
         v10, v11 = c * v10 - s * v11, s * v10 + c * v11
     solution = []
     for target in columns:
-        terms = zip(a0, a1, [_ldexp(y, -scale) for y in target])
-        u, v, y = next(terms)
-        d0, d1 = u * y, v * y
-        for u, v, y in terms:
+        d0 = d1 = -0.0
+        for u, v, y in zip(a0, a1, [_ldexp(y, -scale) for y in target]):
             d0 += u * y
             d1 += v * y
         c0, c1 = d0 / (alpha or 1.0), d1 / (beta or 1.0)

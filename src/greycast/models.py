@@ -226,22 +226,27 @@ def _solve(fails: Failures, system: np.ndarray, block: Optional[SharedBlock] = N
     """
     n, _, cols = system.shape
     p = cols - 1
-    solve = solve_stacked if block is None else functools.partial(solve_shared, block=block)
     if not all_finite(system):
         fails.add(~np.isfinite(system).all(axis=(1, 2)),
                   lambda i: InvalidInputError("least-squares entries must be finite"))
     if not fails.errors:
-        result = solve(system[..., :p], system[..., p])
+        result = _solve_stack(system[..., :p], system[..., p], block)
         params, rejected, condition = result.solutions.T, result.rejected, result.condition
     else:
         params, rejected, condition = np.full((p, n), np.nan), np.zeros(n, dtype=bool), np.zeros(n)
         rows = np.flatnonzero(~fails.failed)
         if rows.size:
-            result = solve(system[rows, :, :p], system[rows, :, p])
+            result = _solve_stack(system[rows, :, :p], system[rows, :, p], block)
             params[:, rows], rejected[rows], condition[rows] = (
                 result.solutions.T, result.rejected, result.condition)
     fails.add(rejected, lambda i: singular_error(float(condition[i])))
     return params
+
+
+def _solve_stack(designs: np.ndarray, targets: np.ndarray, block: Optional[SharedBlock]):
+    if block is None:
+        return solve_stacked(designs, targets)
+    return solve_shared(designs, targets, block)
 
 
 def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> WindowFits:
@@ -272,18 +277,21 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
         message = _omega_message(freq, w)
         if message is not None:
             fails.add_all(lambda i: InvalidInputError(message))
+    low = None  # the smallest value, once read
     if w < 4:
         fails.add_all(lambda i: InsufficientDataError(f"window of {w} < 4 observations"))
-    elif n and not (x.min() >= 0.0 and x.max() < np.inf):
-        fails.add(~np.isfinite(x).all(axis=1),
-                  lambda i: InvalidInputError("window contains non-finite values"))
-        negative = x < 0
-        fails.add(negative.any(axis=1), lambda i: InvalidInputError(
-            f"negative value at window index {int(np.argmax(negative[i]))}"))
+    elif n:
+        low = x.min()
+        if not (low >= 0.0 and all_finite(x)):
+            fails.add(~np.isfinite(x).all(axis=1),
+                      lambda i: InvalidInputError("window contains non-finite values"))
+            negative = x < 0
+            fails.add(negative.any(axis=1), lambda i: InvalidInputError(
+                f"negative value at window index {int(np.argmax(negative[i]))}"))
     if w < row.min_window:
         fails.add_all(lambda i: InsufficientDataError(
             f"{kind.value} needs a window of at least {row.min_window}"))
-    if kind is ModelKind.GVM and n and not x.min() > 0.0:
+    if kind is ModelKind.GVM and n and not (x.min() if low is None else low) > 0.0:
         nonpositive = x <= 0
         fails.add(nonpositive.any(axis=1), lambda i: InvalidInputError(
             "Verhulst fit needs strictly positive values "
@@ -345,16 +353,27 @@ def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = Non
     k = _local_times(w)
     residuals = x[:, 1:] + a[:, None] * stage_one.mean - b[:, None]
     damp = np.exp(-a[:, None] * k)
-    if not (damp.min() >= 1e-250 and damp.max() < np.inf):
+    if not (damp.min() >= 1e-250 and all_finite(damp)):
         fails.add(~np.isfinite(damp).all(axis=1) | (np.abs(damp).max(axis=1) < 1e-250),
                   lambda i: NumericalDegeneracyError(
                       "stage-2 design degenerate: e^(-k a) underflowed or overflowed"))
     system = np.empty(damp.shape + (3,))
-    np.multiply(damp, np.sin(freq * k), out=system[..., 0])
-    np.multiply(damp, np.cos(freq * k), out=system[..., 1])
+    sin_k, cos_k = _trig_columns(w, freq)
+    np.multiply(damp, sin_k, out=system[..., 0])
+    np.multiply(damp, cos_k, out=system[..., 1])
     system[..., 2] = residuals
     bs, bc = _solve(fails, system)
     return WindowFits(ModelKind.GM_ESC, a, b, bs, bc, x[:, 0], freq, w, fails)
+
+
+@functools.lru_cache(maxsize=128)
+def _trig_columns(w: int, freq: float) -> np.ndarray:
+    """sin(freq k) and cos(freq k) at a w-point window's local indices
+    k = 2..w, as the rows of a read-only (2, w - 1) array."""
+    k = _local_times(w)
+    columns = np.array([np.sin(freq * k), np.cos(freq * k)])
+    columns.setflags(write=False)
+    return columns
 
 
 def _omega_message(freq: float, w: int) -> Optional[str]:
@@ -389,19 +408,22 @@ def _local_times(w: int) -> np.ndarray:
 
 # -- closed forms, each written once over arrays -------------------------------
 
-def _trig_part(fits: WindowFits):
+def _trig_part(fits: WindowFits, times: tuple) -> np.ndarray:
     """q(t), the trigonometric part of the particular solution, of every
-    window at a time t (a number). The particular solution is q(t) + b/a."""
+    window (row) at each time t of ``times`` (column). The particular
+    solution is q(t) + b/a."""
     a, bs, bc, w = fits.a, fits.bs, fits.bc, fits.omega
+    cos_wt = np.array([math.cos(w * t) for t in times])
+    sin_wt = np.array([math.sin(w * t) for t in times])
     if fits.kind is ModelKind.GM_ESC:
         # e^(-a t) (bc sin(w t) - bs cos(w t)) / w
         cos_part, sin_part = bs / -w, bc / w
-        return lambda t: np.exp(a * -t) * (cos_part * math.cos(w * t)
-                                           + sin_part * math.sin(w * t))
+        return (np.exp(a[:, None] * -np.array(times))
+                * (cos_part[:, None] * cos_wt + sin_part[:, None] * sin_wt))
     # ((a bc - bs w) cos(w t) + (a bs + bc w) sin(w t)) / (a^2 + w^2)
     den = a * a + w * w
     cos_part, sin_part = (a * bc - bs * w) / den, (a * bs + bc * w) / den
-    return lambda t: cos_part * math.cos(w * t) + sin_part * math.sin(w * t)
+    return cos_part[:, None] * cos_wt + sin_part[:, None] * sin_wt
 
 
 def _increment(fits: WindowFits, u: float, s: float) -> np.ndarray:
@@ -434,9 +456,9 @@ def _increment(fits: WindowFits, u: float, s: float) -> np.ndarray:
     if fits.kind is ModelKind.GM11:
         value = np.exp(a * (1.0 - u)) * (x0 * growth + b * s * ratio)
     else:
-        q = _trig_part(fits)
-        value = (np.exp(a * (1.0 - u)) * ((x0 - q(1.0)) * growth + b * s * ratio)
-                 + (q(u + s) - q(u)))
+        q_1, q_end, q_start = _trig_part(fits, (1.0, u + s, u)).T
+        value = (np.exp(a * (1.0 - u)) * ((x0 - q_1) * growth + b * s * ratio)
+                 + (q_end - q_start))
     if not all_finite(value):
         exponents = [x, a * (1.0 - u - s)]
         if fits.kind is ModelKind.GM_ESC:
@@ -454,10 +476,11 @@ def _gvm(fits: WindowFits, k: int) -> np.ndarray:
     """
     a, x1, fails = fits.a, fits.x0_1, fits.failures
     bx = fits.b * x1
+    a_bx = a - bx
     args = a[:, None] * np.array([k - 1.0, k - 2.0, 1.0])
     e = np.exp(args)  # e^(a(k-1)), e^(a(k-2)), e^a
-    d = bx[:, None] + (a - bx)[:, None] * e[:, :2]
-    value = (a * x1 * (a - bx) / d[:, 0]) * ((1.0 - e[:, 2]) * e[:, 1] / d[:, 1])
+    d = bx[:, None] + a_bx[:, None] * e[:, :2]
+    value = (a * x1 * a_bx / d[:, 0]) * ((1.0 - e[:, 2]) * e[:, 1] / d[:, 1])
     if not (all_finite(e) and np.count_nonzero(np.abs(d) > GVM_DENOM_FLOOR) == d.size):
         # The checks of the one-window code, in its order.
         fails.add(_overflowed(args[:, :2]), _overflow_error(fits.kind, a), overflow=True)
@@ -535,7 +558,7 @@ def _integration_constant(fits: WindowFits) -> Optional[float]:
             math.exp(-a)
     except OverflowError:
         return None
-    q1 = float(_trig_part(fits)(1.0)[0])
+    q1 = float(_trig_part(fits, (1.0,))[0, 0])
     return scale * (float(fits.x0_1[0]) - q1 - float(fits.b[0]) / a)
 
 

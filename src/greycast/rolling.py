@@ -20,9 +20,11 @@ fallbacks, the clamp and the trace assembly to every model.
 
 A trace keeps the roll's arrays: its first target index, the read-only
 predicted, observed and fallback-flag columns, the residuals, the per-step
-times and the error messages. Its tuple views, ``predictions`` and
-``fallbacks``, are built from the columns on first read and then kept; the
-report and the calibration read the columns and never build them.
+times and the error messages. The roll hands the arrays it made to the trace
+and its residuals as they are, read-only, with no copy and no second check.
+Its tuple views, ``predictions`` and ``fallbacks``, are built from the
+columns on first read and then kept; the report and the calibration read the
+columns and never build them.
 
 The EF correction is a linear filter of each step's residuals
 (``fourier.correction_weights``), applied to the whole roll at once. The
@@ -56,7 +58,6 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -150,14 +151,35 @@ class RollingConfig:
         if self.multi_step < 1:
             raise InvalidInputError("multi_step must be >= 1")
         # A frozen config parses its model once; every roll reads the parse.
-        object.__setattr__(self, "_parsed", parse_model(self.model))
+        kind, _, bench = parsed = parse_model(self.model)
+        # GM_SC has four parameters; a 4-point window gives only 3 equations.
+        w = self.window if bench is not None else max(self.window, MIN_WINDOW[kind])
+        object.__setattr__(self, "_parsed", parsed)
+        object.__setattr__(self, "_effective_window", w)
 
     def effective_window(self) -> int:
-        kind, _, bench = self._parsed
-        if bench is not None:
-            return self.window
-        # GM_SC has four parameters; a 4-point window gives only 3 equations.
-        return max(self.window, MIN_WINDOW[kind])
+        return self._effective_window
+
+
+class _memoised:
+    """A value computed from its instance on first read and then kept in the
+    instance's ``__dict__``, which later reads find first. It is
+    ``functools.cached_property`` without the lock that Python 3.10 and 3.11
+    take on every first read: two threads that read at once may both compute
+    the value, and each gets an equal one."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +189,12 @@ class ForecastTrace:
     Step j targets the 1-based index ``start_index + j``. Its forecast, its
     observation and whether it fell back are ``predicted_values[j]``,
     ``observed_values[j]`` and ``fallback_flags[j]``; the arrays are
-    read-only. ``predictions`` and ``fallbacks`` are the same steps as
-    tuples, built on first read and then kept.
+    read-only. The constructor copies a column its caller can still write
+    to; ``roll_forecast`` hands over the read-only arrays it made, which
+    need no copy. ``predictions`` and ``fallbacks`` are the same steps as
+    tuples, built on first read and then kept. They are kept without a lock:
+    threads that read a fresh trace at once may each build the tuple, and all
+    get equal ones.
 
     Two traces are equal when everything but their timings is. A trace holds
     arrays, so it is unhashable.
@@ -205,14 +231,28 @@ class ForecastTrace:
                 and np.array_equal(self.fallback_flags, other.fallback_flags)
                 and self.residuals == other.residuals and self.errors == other.errors)
 
-    @cached_property
+    @classmethod
+    def _unchecked(cls, model: str, start_index: int, predicted_values: np.ndarray,
+                   observed_values: np.ndarray, fallback_flags: np.ndarray,
+                   residuals: ResidualSeries, per_step_time: Tuple[float, ...],
+                   errors: Tuple[Tuple[int, str], ...]) -> "ForecastTrace":
+        """The trace of columns that are already read-only arrays of the
+        right dtype, kept as they are: the constructor without its checks."""
+        trace = object.__new__(cls)
+        trace.__dict__.update(
+            model=model, start_index=start_index, predicted_values=predicted_values,
+            observed_values=observed_values, fallback_flags=fallback_flags,
+            residuals=residuals, per_step_time=per_step_time, errors=errors)
+        return trace
+
+    @_memoised
     def predictions(self) -> Tuple[Tuple[int, float, float], ...]:
         """(index, predicted, observed) per step."""
         first = self.start_index
         return tuple(zip(range(first, first + self.predicted_values.size),
                          self.predicted_values.tolist(), self.observed_values.tolist()))
 
-    @cached_property
+    @_memoised
     def fallbacks(self) -> Tuple[bool, ...]:
         """Whether each step fell back to persistence."""
         return tuple(self.fallback_flags.tolist())
@@ -264,7 +304,7 @@ def _resolve(config: RollingConfig, specs) -> RollingConfig:
 
 def _window(values: np.ndarray, config: RollingConfig) -> int:
     """The roll's window; raises if ``values`` is too short for one step."""
-    w = config.effective_window()
+    w = config._effective_window
     if values.size < w + 1:
         raise InsufficientDataError(f"series of {values.size} < window {w} + 1")
     return w
@@ -282,19 +322,18 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
     """
     values = series.values
     w = _window(values, config)
-    n = values.size
     kind, ef, bench = config._parsed
     start, borrowed = time.perf_counter(), _borrowed()
-    count = n - w
+    count = values.size - w
     in_window = ef and config.ef_in_window
     observed = values[w:]
-    if bench is None:
-        raw, fitted, messages = _base_forecasts(values, w, kind, config, in_window)
-        failed = np.zeros(count, dtype=bool)
-        if messages:
-            failed[list(messages)] = True
     with np.errstate(all="ignore"):  # failures are flagged, not warned about
-        if bench is not None:
+        if bench is None:
+            raw, fitted, messages = _base_forecasts(values, w, kind, config, in_window, True)
+            failed = np.zeros(count, dtype=bool)
+            if messages:
+                failed[list(messages)] = True
+        else:
             # Step j's history is values[:w + j]; the short ones come first.
             raw, messages = benchmarks.forecast_histories(
                 resolve_config(config).benchmark_spec, values[:-1], w, config.standard_psi)
@@ -319,37 +358,28 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
             predicted, fallback = _clamped(predicted), _clamped(fallback)
         if messages:
             predicted = np.where(failed, fallback, predicted)
-        try:
-            residuals = ResidualSeries(observed - predicted, start_index=w + 1)
-        except InvalidInputError:
+        misses = observed - predicted
+        if not all_finite(misses):
             # Some forecast misses by more than the float range: persistence.
-            missed = ~np.isfinite(observed - predicted)
+            missed = ~np.isfinite(misses)
             predicted = np.where(missed, fallback, predicted)
             misses = observed - predicted
             if not all_finite(misses):
                 i = w + int(np.argmin(np.isfinite(misses)))
                 raise InvalidInputError(f"values at indices {i - 1} and {i} differ by "
-                                        "more than the float range") from None
-            residuals = ResidualSeries(misses, start_index=w + 1)
+                                        "more than the float range")
             failed |= missed
             messages.update(dict.fromkeys(np.flatnonzero(missed).tolist(), RESIDUAL_OVERFLOW))
     errors = ()
     if messages:
-        steps = np.flatnonzero(failed).tolist()
-        errors = tuple(zip([w + 1 + j for j in steps], map(messages.__getitem__, steps)))
-    for column in (predicted, failed):  # the trace keeps them, so it need not copy them
+        steps = np.flatnonzero(failed)
+        errors = tuple(zip((steps + (w + 1)).tolist(), map(messages.__getitem__, steps.tolist())))
+    for column in (predicted, failed, misses):  # the trace keeps them as they are
         column.setflags(write=False)
     share = (time.perf_counter() - start + _borrowed() - borrowed) / count
-    return ForecastTrace(
-        model=config.model,
-        start_index=w + 1,
-        predicted_values=predicted,
-        observed_values=observed,
-        fallback_flags=failed,
-        residuals=residuals,
-        per_step_time=(share,) * count,
-        errors=errors,
-    )
+    return ForecastTrace._unchecked(config.model, w + 1, predicted, observed, failed,
+                                    ResidualSeries._unchecked(misses, w + 1),
+                                    (share,) * count, errors)
 
 
 #: The message of a step whose forecast misses its observation by more than
@@ -432,31 +462,36 @@ def _borrowed() -> float:
 
 
 def _base_forecasts(values: np.ndarray, w: int, kind: ModelKind, config: RollingConfig,
-                    in_window: bool):
+                    in_window: bool, quiet: bool = False):
     """Raw forecast and (for in-window EF) fitted values of every window, and
     {step: message} of the failed ones.
 
     Window j is values[j:j+w]; it predicts 1-based target w+1+j. An EF model
     evaluates its base model's fits, which the base's own roll may have
-    solved already.
+    solved already. The kernels' overflows are failures, not warnings, so
+    numpy's floating-point warnings are turned off while they run, unless
+    ``quiet`` says the caller (``roll_forecast``) has them off already.
     """
+    if not quiet:
+        with np.errstate(all="ignore"):
+            return _base_forecasts(values, w, kind, config, in_window, True)
     shared = _SHARED.get()
     omega = config.omega if kind in TRIG_KINDS else None
     count = values.size - w
     raw, fitted, messages = [], [], {}
-    with np.errstate(all="ignore"):  # failures are flagged, not warned about
-        for lo in range(0, count, BATCH_WINDOWS):
-            fits = _fits(values, lo, min(lo + BATCH_WINDOWS, count), w, kind, omega)
-            if shared is not None:
-                # A shared fit keeps its own failures; this roll's go to a copy.
-                fits = fits._replace(failures=fits.failures.copy())
-            part = forecast_windows(fits, config.multi_step)
-            if not all_finite(part):
-                fits.failures.add(~np.isfinite(part),
-                                  lambda i: InvalidInputError("non-finite forecast"))
-            raw.append(part)
-            if in_window:
-                fitted.append(fitted_windows(fits))
+    for lo in range(0, count, BATCH_WINDOWS):
+        fits = _fits(values, lo, min(lo + BATCH_WINDOWS, count), w, kind, omega)
+        if shared is not None:
+            # A shared fit keeps its own failures; this roll's go to a copy.
+            fits = fits._replace(failures=fits.failures.copy())
+        part = forecast_windows(fits, config.multi_step)
+        if not all_finite(part):
+            fits.failures.add(~np.isfinite(part),
+                              lambda i: InvalidInputError("non-finite forecast"))
+        raw.append(part)
+        if in_window:
+            fitted.append(fitted_windows(fits))
+        if fits.failures.errors:
             messages.update((lo + i, str(exc)) for i, exc in fits.failures.errors.items())
     return _joined(raw), _joined(fitted) if in_window else None, messages
 

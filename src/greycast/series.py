@@ -35,7 +35,7 @@ def row_sums(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Series:
     """A finite, time-ordered sequence of real observations.
 
@@ -48,16 +48,20 @@ class Series:
     interval: float = 60.0
     label: str = ""
 
-    def __post_init__(self):
-        arr = _as_readonly_array(self.values)
+    # Written out rather than generated, because an online caller builds a
+    # Series per arrival: the generated __init__ and __post_init__ set each
+    # frozen field one call at a time.
+    def __init__(self, values, interval: float = 60.0, label: str = ""):
+        arr = np.array(values, dtype=float)  # always a copy of its own
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("series must be a non-empty 1-d sequence")
         if not all_finite(arr):
             bad = int(np.argmin(np.isfinite(arr)))
             raise InvalidInputError(f"non-finite value at index {bad}")
-        if not (self.interval > 0):
+        if not (interval > 0):
             raise InvalidInputError("sampling interval must be positive")
-        object.__setattr__(self, "values", arr)
+        arr.setflags(write=False)
+        self.__dict__.update(values=arr, interval=interval, label=label)
 
     def __len__(self) -> int:
         return int(self.values.size)
