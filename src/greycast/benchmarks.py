@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import InsufficientDataError, InvalidInputError
-from .series import Series
+from .series import Series, all_finite, window_view
 
 
 @dataclass(frozen=True)
@@ -239,18 +238,11 @@ def forecast_histories(spec, values: np.ndarray, first: int,
     count = values.size - first + 1
     short = min(max(need - first, 0), count)
     messages = dict(_short_messages(first, need, short))
-    forecasts = np.empty(count)
-    if short:
-        forecasts[:short] = np.nan
+    forecasts = np.full(count, np.nan)
     lo = first + short  # the first history long enough
     if lo <= values.size:
-        # Row k holds values[k:k + need], the tail of the history ending at
-        # k + need: a strided view, as ``sliding_window_view`` makes it,
-        # without that function's fixed cost of about 10 us.
-        step = values.strides[0]
-        tails = (values[None, lo - need:] if lo == values.size
-                 else as_strided(values[lo - need:], shape=(count - short, need),
-                                 strides=(step, step), writeable=False))
+        # Row k holds the last ``need`` values of the k-th long history.
+        tails = window_view(values[lo - need:], need, count - short)
         forecasts[short:] = _forecast_rows(spec, tails, standard)
     return forecasts, messages
 
@@ -264,9 +256,14 @@ def _short_messages(first: int, need: int, short: int) -> Dict[int, str]:
 
 def _forecast_one(spec, history, standard: bool = False) -> float:
     z = history.values if isinstance(history, Series) else np.asarray(history, float)
-    forecasts, short = forecast_histories(spec, z, z.size, standard)
+    if z.ndim != 1 or not all_finite(z):
+        raise InvalidInputError("a history must be a 1-d sequence of finite values")
+    with np.errstate(all="ignore"):  # an overflow is the error below, not a warning
+        forecasts, short = forecast_histories(spec, z, z.size, standard)
     if short:
         raise InsufficientDataError(short[0])
+    if not all_finite(forecasts):
+        raise InvalidInputError("non-finite forecast")
     return float(forecasts[0])
 
 

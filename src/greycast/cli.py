@@ -197,24 +197,24 @@ def _cmd_synth(args, specs) -> int:
     return EXIT_OK
 
 
+_HANDLERS = {"forecast": _cmd_forecast, "calibrate": _cmd_calibrate, "evaluate": _cmd_evaluate,
+             "compare": _cmd_compare, "synth": _cmd_synth}
+
+
 def _float_values_joined(argv: List[str]) -> List[str]:
-    """``argv`` with each ``--omega X`` whose X is a float literal written
-    ``--omega=X``. argparse reads a token such as -1e3 or -inf, which its
-    negative-number pattern does not match, as an option and stops; the
-    joined spelling parses as the same float."""
-    args, i = [], 0
-    while i < len(argv):
-        token = argv[i]
-        if token == "--omega" and i + 1 < len(argv):
+    """``argv`` with each ``--omega X`` before the subcommand, or ``--o`` ..
+    ``--omeg`` (no other top-level option starts with ``--o``), whose X is a
+    float literal written ``--omega=X``. argparse reads a token such as -1e3
+    or -inf, which its negative-number pattern does not match, as an option
+    and stops; the joined spelling parses as the same float."""
+    args, i = list(argv), 0
+    while i + 1 < len(args) and args[i] not in _HANDLERS:
+        if args[i].startswith("--o") and "--omega".startswith(args[i]):
             try:
-                float(argv[i + 1])
+                float(args[i + 1])
+                args[i:i + 2] = [f"--omega={args[i + 1]}"]
             except ValueError:
                 pass
-            else:
-                args.append(f"--omega={argv[i + 1]}")
-                i += 2
-                continue
-        args.append(token)
         i += 1
     return args
 
@@ -222,17 +222,10 @@ def _float_values_joined(argv: List[str]) -> List[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(_float_values_joined(argv))
-    handlers = {
-        "forecast": _cmd_forecast,
-        "calibrate": _cmd_calibrate,
-        "evaluate": _cmd_evaluate,
-        "compare": _cmd_compare,
-        "synth": _cmd_synth,
-    }
     try:
         # Read for every subcommand, so that each rejects a bad file alike.
         specs = load_config(args.config)
-        return handlers[args.command](args, specs)
+        return _HANDLERS[args.command](args, specs)
     except CalibrationFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION

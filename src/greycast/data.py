@@ -128,6 +128,8 @@ def ingest_csv(path: str, interval: Optional[float] = None) -> Dataset:
 
 def aggregate(series: Series, target_interval: float) -> Series:
     """Non-overlapping block means; a trailing partial block is dropped."""
+    if not 0 < target_interval < math.inf:
+        raise InvalidInputError(f"target interval {target_interval!r} is not finite and positive")
     ratio = target_interval / series.interval
     factor = int(round(ratio))
     if factor < 1 or abs(ratio - factor) > 1e-9:

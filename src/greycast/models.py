@@ -84,7 +84,7 @@ class _Kind(NamedTuple):
     # Parameter count + 1 equations, except GM_SC: four columns need w >= 5.
     min_window: int
     omega: Optional[float]  # default frequency, grid-searched; None: no omega
-    trig: tuple  # trig design columns of a joint fit, between -z1(k) and 1
+    trig: tuple  # rows of ``_trig_columns`` (0 sin, 1 cos) between -z1(k) and 1
     fields: tuple  # the GreyFit fields of b, bs and bc; None stands for 0
     has_K: bool  # whether its GreyFit carries K
 
@@ -92,9 +92,9 @@ class _Kind(NamedTuple):
 _KINDS = {
     ModelKind.GM11: _Kind("EFGM", 4, None, (), ("b", None, None), False),
     ModelKind.GVM: _Kind("EFGVM", 4, None, (), ("b", None, None), False),
-    ModelKind.GM_S: _Kind("EFGM_S", 4, 4.30, (np.sin,), ("b2", "b1", None), False),
-    ModelKind.GM_C: _Kind("EFGM_C", 4, 2.65, (np.cos,), ("b2", None, "b1"), True),
-    ModelKind.GM_SC: _Kind("EFGM_SC", 5, 9.30, (np.sin, np.cos), ("b3", "b1", "b2"), True),
+    ModelKind.GM_S: _Kind("EFGM_S", 4, 4.30, (0,), ("b2", "b1", None), False),
+    ModelKind.GM_C: _Kind("EFGM_C", 4, 2.65, (1,), ("b2", None, "b1"), True),
+    ModelKind.GM_SC: _Kind("EFGM_SC", 5, 9.30, (0, 1), ("b3", "b1", "b2"), True),
     ModelKind.GM_ESC: _Kind("EFGM_ESC", 4, 74.10, (), ("b3", "b1", "b2"), True),
 }
 
@@ -291,7 +291,7 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
     if w < row.min_window:
         fails.add_all(lambda i: InsufficientDataError(
             f"{kind.value} needs a window of at least {row.min_window}"))
-    if kind is ModelKind.GVM and n and not (x.min() if low is None else low) > 0.0:
+    if kind is ModelKind.GVM and low is not None and not low > 0.0:
         nonpositive = x <= 0
         fails.add(nonpositive.any(axis=1), lambda i: InvalidInputError(
             "Verhulst fit needs strictly positive values "
@@ -313,19 +313,18 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
     system[..., -1] = x[:, 1:]
     params = _solve(fails, system, block)
     coef, zero = dict(zip(row.trig, params[1:-1])), np.zeros(n)
-    return WindowFits(kind, params[0], params[-1], coef.get(np.sin, zero),
-                      coef.get(np.cos, zero), x[:, 0], freq, w, fails, z)
+    return WindowFits(kind, params[0], params[-1], coef.get(0, zero), coef.get(1, zero),
+                      x[:, 0], freq, w, fails, z)
 
 
 @functools.lru_cache(maxsize=128)
 def _shared_block(kind: ModelKind, w: int, freq: float) -> SharedBlock:
     """The columns every w-point window of ``kind`` shares at frequency
-    ``freq``, [trig(freq k)..., 1], factored once for ``solve_shared``."""
-    k = _local_times(w)
-    columns = np.empty((w - 1, len(_KINDS[kind].trig) + 1))
-    for col, fn in enumerate(_KINDS[kind].trig):
-        columns[:, col] = fn(freq * k)
-    columns[:, -1] = 1.0
+    ``freq``, [trig(freq k)..., 1] with the kind's rows of ``_trig_columns``,
+    factored once for ``solve_shared``."""
+    trig = _KINDS[kind].trig
+    columns = np.ones((w - 1, len(trig) + 1))
+    columns[:, :-1] = _trig_columns(w, freq)[list(trig)].T
     return factor_block(columns)
 
 
@@ -523,7 +522,9 @@ def _one_step(fits: WindowFits, k: int) -> np.ndarray:
 
 def _window_values(window) -> np.ndarray:
     values = window.values if isinstance(window, Series) else np.asarray(window, float)
-    return values.reshape(1, -1)
+    if values.ndim != 1 or not all_finite(values):
+        raise InvalidInputError("a window must be a 1-d sequence of finite values")
+    return values[None]
 
 
 def _stack_of_one(fit: GreyFit) -> WindowFits:

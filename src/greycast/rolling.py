@@ -6,17 +6,18 @@ additionally extrapolate a Fourier model of recent residuals, fitted strictly
 on residuals observed before the step (no lookahead). Fit failures never abort
 a roll: the step falls back to persistence (last observation) and is flagged.
 
-A grey-model roll fits and forecasts all of its windows at once: it stacks
-the windows by index arithmetic and hands them to ``models.fit_windows`` and
-``models.forecast_windows``, whose one-window case is ``fit_model`` /
-``forecast``. Every window is solved on its own, so a step's forecast does not
-depend on the rest of the series and equals ``forecast(fit_model(window))``
-bit for bit. A window that fails, or whose forecast is not finite, falls back
-with the message its one-window call raises. A benchmark roll stacks its
-histories the same way (``benchmarks.forecast_histories``): each step equals
-the one-history forecaster's value, and a history too short for the spec
-falls back with the message that forecaster raises. One block then applies the
-fallbacks, the clamp and the trace assembly to every model.
+A grey-model roll fits and forecasts all of its windows at once: it views
+them as one stack, with no copy (``series.window_view``), and hands them to
+``models.fit_windows`` and ``models.forecast_windows``, whose one-window case
+is ``fit_model`` / ``forecast``. Every window is solved on its own, so a
+step's forecast does not depend on the rest of the series and equals
+``forecast(fit_model(window))`` bit for bit. A window that fails, or whose
+forecast is not finite, falls back with the message its one-window call
+raises. A benchmark roll views its histories' tails the same way
+(``benchmarks.forecast_histories``): each step equals the one-history
+forecaster's value, and a history too short for the spec falls back with the
+message that forecaster raises. One block then applies the fallbacks, the
+clamp and the trace assembly to every model.
 
 A trace keeps the roll's arrays: its first target index, the read-only
 predicted, observed and fallback-flag columns, the residuals, the per-step
@@ -31,12 +32,11 @@ The EF correction is a linear filter of each step's residuals
 residual buffer holds base residuals only, so every step's buffer follows
 from the base forecasts and their failures; the weights depend only on the
 buffer length, the harmonic count and the step's offset from the buffer's
-first index. Once buffers are full, position q of the S full buffers is the
-slice eps[q:q + S] of the base residuals, so the correction is summed over
-buffer positions: each adds its weight times its slice, in the order
-``series.row_sums`` adds a row, and no per-step weight row or residual
-window is built. The in-window correction sums its one weight row the same
-way.
+first index. Position q of every step's buffer is row q of a window view of
+the base residuals (zero-padded while the buffers grow), so ``_filtered``
+sums each position's weights times its row, and no per-step weight row or
+residual window is built. The in-window correction sums its one weight row
+the same way.
 
 Within one ``report.compare`` or ``calibrate_omega`` call the rolls share
 their fits (``_sharing``): each distinct fit of a (kind, window length, batch,
@@ -61,7 +61,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import benchmarks
 from .errors import (
@@ -89,7 +88,7 @@ from .models import (
     fitted_windows,
     forecast_windows,
 )
-from .series import Series, all_finite, row_sums
+from .series import Series, all_finite, window_view
 
 BENCHMARK_NAMES = ("LINEAR", "ARIMA", "SARIMA", "SETAR")
 
@@ -512,9 +511,7 @@ def _fits(values: np.ndarray, lo: int, hi: int, w: int, kind: ModelKind,
 
 def _fit(values: np.ndarray, lo: int, hi: int, w: int, kind: ModelKind,
          omega: Optional[float]) -> WindowFits:
-    # A batch of one (the online case) is a view; others are gathered.
-    windows = (values[None, lo:lo + w] if hi - lo == 1
-               else values[np.arange(lo, hi)[:, None] + np.arange(w)])
+    windows = window_view(values[lo:], w, hi - lo)
     if kind is ModelKind.GM_ESC:
         return fit_esc_windows(_fits(values, lo, hi, w, ModelKind.GM11, None), windows, omega)
     return fit_windows(kind, windows, omega)
@@ -566,22 +563,24 @@ def _buffered_corrections(residuals: np.ndarray, failed: np.ndarray,
     rows = np.zeros((width - 1, width))
     for r in range(width - 1):
         rows[r, width - 1 - r:] = weights[r + 1][(first[r] + 1 - first[0]) % max(r, 1)]
-    padded = np.concatenate((np.zeros(width), eps[:width - 1]))
-    ramp = row_sums(rows * sliding_window_view(padded, width)[1:])
+    # Growing buffers: position q of steps 1..width-1 is padded[q:q + width - 1].
+    padded = np.concatenate((np.zeros(width - 1), eps[:width - 1]))
+    ramp = _filtered(rows, slice(None), window_view(padded, width - 1, width))
     # Full buffers: position q of steps width..end is the slice eps[q:q + count].
     count = end - width + 1
     offsets = (ok[width - 1:end] + 1 - ok[:count]) % max(width - 1, 1)
     if not np.count_nonzero(offsets != offsets[0]):
         offsets = offsets[0]
-    full = _filtered(weights[width], offsets, sliding_window_view(eps, count))
+    full = _filtered(weights[width], offsets, window_view(eps, count, width))
     return ok[1:stop], np.concatenate((ramp, full)), errors
 
 
 def _filtered(weights: np.ndarray, offsets, columns: np.ndarray) -> np.ndarray:
     """Each step's filter row ``weights[offset]`` applied to its residuals,
     which are ``columns[q]`` for buffer position q: the sum over q of
-    ``weights[offsets, q] * columns[q]``, added left to right as ``row_sums``
-    adds a row. ``offsets`` is one offset for every step or one per step."""
+    ``weights[offsets, q] * columns[q]``, added left to right as
+    ``series.row_sums`` adds a row. ``offsets`` is one offset for every step,
+    one per step, or ``slice(None)`` for row j of ``weights`` at step j."""
     by_position = weights.T
     total = by_position[0][offsets] * columns[0]
     for q in range(1, by_position.shape[0]):
@@ -597,7 +596,7 @@ def _in_window_corrections(values: np.ndarray, w: int, fitted: np.ndarray,
     ok = np.flatnonzero(~failed)
     n = w - 1
     # Row q holds every window's residual at buffer position q.
-    observed, fits = sliding_window_view(values[1:], failed.size)[:n], fitted.T
+    observed, fits = window_view(values[1:], failed.size, n), fitted.T
     if ok.size < failed.size:
         observed, fits = observed[:, ok], fits[:, ok]
     columns = observed - fits

@@ -9,14 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InsufficientDataError, InvalidInputError
-
-
-def _as_readonly_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)  # always a copy of its own
-    arr.setflags(write=False)
-    return arr
 
 
 def all_finite(arr: np.ndarray) -> bool:
@@ -33,6 +28,17 @@ def row_sums(terms: np.ndarray) -> np.ndarray:
     for q in range(2, count):
         total += terms[..., q]
     return total
+
+
+def window_view(values: np.ndarray, width: int, count: int) -> np.ndarray:
+    """The read-only (count, width) view whose row k is ``values[k:k + width]``:
+    ``sliding_window_view`` without its fixed cost. One row is a plain slice."""
+    if min(width, count) < 0 or count + width - 1 > values.size:
+        raise InvalidInputError(f"{count} windows of {width} read past {values.size} values")
+    step = values.strides[0]
+    view = values[None, :width] if count == 1 else as_strided(values, (count, width), (step, step))
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True, init=False)
@@ -68,30 +74,30 @@ class Series:
 
 
 @dataclass(frozen=True)
-class AccumulatedSeries:
-    """Prefix sums of a source series (same length, left-to-right summation)."""
+class _Derived:
+    """A sequence derived from a series, kept as a read-only float copy."""
 
     values: np.ndarray
-    origin: Series
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_readonly_array(self.values))
+        arr = np.array(self.values, dtype=float)  # always a copy of its own
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
         return int(self.values.size)
 
 
 @dataclass(frozen=True)
-class MeanSeries:
+class AccumulatedSeries(_Derived):
+    """Prefix sums of a source series (same length, left-to-right summation)."""
+
+    origin: Series
+
+
+@dataclass(frozen=True)
+class MeanSeries(_Derived):
     """Adjacent-pair means of an accumulated series (length n-1, k = 2..n)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_readonly_array(self.values))
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 def accumulate(series: Series) -> AccumulatedSeries:
