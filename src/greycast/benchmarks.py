@@ -39,10 +39,8 @@ class ArimaSpec:
     truncation: int = 50
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
-        object.__setattr__(self, "seasonal_phi",
-                           tuple(float(v) for v in self.seasonal_phi))
+        for name in ("phi", "theta", "seasonal_phi"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if self.truncation < 20:
             raise InvalidInputError("truncation must be at least 20")
         if self.d < 0 or self.D < 0 or self.season_period < 1:
@@ -238,7 +236,9 @@ def forecast_histories(spec, values: np.ndarray, first: int,
     count = values.size - first + 1
     short = min(max(need - first, 0), count)
     messages = dict(_short_messages(first, need, short))
-    forecasts = np.full(count, np.nan)
+    forecasts = np.empty(count)
+    if short:
+        forecasts[:short] = np.nan
     lo = first + short  # the first history long enough
     if lo <= values.size:
         # Row k holds the last ``need`` values of the k-th long history.

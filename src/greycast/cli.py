@@ -202,11 +202,11 @@ _HANDLERS = {"forecast": _cmd_forecast, "calibrate": _cmd_calibrate, "evaluate":
 
 
 def _float_values_joined(argv: List[str]) -> List[str]:
-    """``argv`` with each ``--omega X`` before the subcommand, or ``--o`` ..
-    ``--omeg`` (no other top-level option starts with ``--o``), whose X is a
-    float literal written ``--omega=X``. argparse reads a token such as -1e3
-    or -inf, which its negative-number pattern does not match, as an option
-    and stops; the joined spelling parses as the same float."""
+    """``argv`` with each ``--omega X`` before the subcommand whose X is a
+    float literal written ``--omega=X``, and so each abbreviation ``--o`` ..
+    ``--omeg`` (no other top-level option starts with ``--o``). argparse
+    reads a token such as -1e3 or -inf, which its negative-number pattern
+    does not match, as an option and stops; ``--omega=X`` parses as X."""
     args, i = list(argv), 0
     while i + 1 < len(args) and args[i] not in _HANDLERS:
         if args[i].startswith("--o") and "--omega".startswith(args[i]):

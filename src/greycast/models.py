@@ -520,13 +520,6 @@ def _one_step(fits: WindowFits, k: int) -> np.ndarray:
 
 # -- the one-window case --------------------------------------------------------
 
-def _window_values(window) -> np.ndarray:
-    values = window.values if isinstance(window, Series) else np.asarray(window, float)
-    if values.ndim != 1 or not all_finite(values):
-        raise InvalidInputError("a window must be a 1-d sequence of finite values")
-    return values[None]
-
-
 def _stack_of_one(fit: GreyFit) -> WindowFits:
     """A GreyFit as a stack of one window, trig coefficients in GM_SC form.
 
@@ -565,8 +558,11 @@ def _integration_constant(fits: WindowFits) -> Optional[float]:
 
 def fit_model(kind: ModelKind, window, omega: Optional[float] = None) -> GreyFit:
     """Fit one window (omega defaults to the calibrated table)."""
+    values = window.values if isinstance(window, Series) else np.asarray(window, float)
+    if values.ndim != 1 or not all_finite(values):
+        raise InvalidInputError("a window must be a 1-d sequence of finite values")
     with np.errstate(all="ignore"):
-        fits = fit_windows(kind, _window_values(window), omega)
+        fits = fit_windows(kind, values[None], omega)
     fits.failures.raise_first()
     row = _KINDS[kind]
     fields = dict(a=float(fits.a[0]), x0_1=float(fits.x0_1[0]), window_len=fits.window_len)

@@ -33,12 +33,15 @@ def row_sums(terms: np.ndarray) -> np.ndarray:
 def window_view(values: np.ndarray, width: int, count: int) -> np.ndarray:
     """The read-only (count, width) view whose row k is ``values[k:k + width]``:
     ``sliding_window_view`` without its fixed cost. One row is a plain slice."""
-    if min(width, count) < 0 or count + width - 1 > values.size:
+    if width < 0 or count < 0 or count + width - 1 > values.size:
         raise InvalidInputError(f"{count} windows of {width} read past {values.size} values")
+    if count == 1:  # the online case, where a flag write costs more than the slice
+        view = values[None, :width]
+        if view.flags.writeable:
+            view.flags.writeable = False
+        return view
     step = values.strides[0]
-    view = values[None, :width] if count == 1 else as_strided(values, (count, width), (step, step))
-    view.flags.writeable = False
-    return view
+    return as_strided(values, (count, width), (step, step), writeable=False)
 
 
 @dataclass(frozen=True, init=False)
