@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fc = sub.add_parser("forecast", help="roll one model over one series")
+    fc = sub.add_parser("forecast", help="roll one model over every series of the input")
     fc.add_argument("model", help=f"one of {', '.join(ALL_MODEL_NAMES)}")
     fc.add_argument("--input", required=True, help="timestamp,value CSV")
     fc.add_argument("--output", default=None, help="write the trace CSV here")
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cal = sub.add_parser("calibrate", help="grid-search the frequency of a grey model")
     cal.add_argument("model", help="GM_S, GM_C, GM_SC or GM_ESC")
-    cal.add_argument("--input", required=True)
+    cal.add_argument("--input", required=True, help="CSV of exactly one series")
     cal.add_argument("--grid", default="0.05:100.0:0.05", metavar="LO:HI:STEP")
 
     ev = sub.add_parser("evaluate", help="RMSE/MAPE of one model over a dataset")
@@ -134,10 +134,9 @@ def _write(text: str, path: Optional[str]) -> None:
 def _cmd_forecast(args, specs) -> int:
     config = replace(_rolling_config(args, args.model), multi_step=args.steps)
     config = resolve_config(config, specs)
-    dataset = ingest_csv(args.input)
-    trace = roll_forecast(dataset.series[0], config)
-    text = format_trace_csv([trace], [dataset.series[0].label])
-    _write(text, args.output)
+    series = ingest_csv(args.input).series
+    traces = [roll_forecast(one, config) for one in series]
+    _write(format_trace_csv(traces, [one.label for one in series]), args.output)
     return EXIT_OK
 
 
@@ -149,9 +148,11 @@ def _cmd_calibrate(args, specs) -> int:
     kind, ef, bench = parse_model(args.model)
     if bench is not None:
         raise InvalidInputError(f"{args.model} has no frequency to calibrate")
-    dataset = ingest_csv(args.input)
+    series = ingest_csv(args.input).series
+    if len(series) > 1:
+        raise InvalidInputError(f"calibrate takes one series; {args.input} holds {len(series)}")
     config = _rolling_config(args, kind.value)
-    omega = calibrate_omega(dataset.series[0], kind, OmegaGrid(lo, hi, step), config)
+    omega = calibrate_omega(series[0], kind, OmegaGrid(lo, hi, step), config)
     print(f"{omega:.6g}")
     return EXIT_OK
 
@@ -174,12 +175,9 @@ def _cmd_compare(args, specs) -> int:
     text = format_csv(report) if args.format == "csv" else format_table(report)
     _write(text, args.output)
     if args.trace_output is not None:
-        labels = [series.label for series in dataset.series]
-        trace_labels = []
-        for model in models:
-            if not report.row(model).failed:
-                trace_labels.extend(labels)
-        _write(format_trace_csv(traces, trace_labels), args.trace_output)
+        labels = [series.label for row in report.rows if not row.failed
+                  for series in dataset.series]
+        _write(format_trace_csv(traces, labels), args.trace_output)
     return EXIT_OK
 
 

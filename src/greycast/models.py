@@ -219,34 +219,24 @@ def _solve(fails: Failures, system: np.ndarray, block: Optional[SharedBlock] = N
 
     With ``block``, the design's columns 1..p-1 are the block's C, and
     ``solve_shared`` solves it; otherwise ``solve_stacked``. Reports what
-    ``LeastSquaresProblem`` and ``solve_least_squares`` raise for one window
-    and skips the windows that have failed; returns the (p, N) parameters.
-    No window reaches it with fewer equations than parameters: every window
-    shorter than its kind's minimum has failed by then.
+    ``LeastSquaresProblem`` and ``solve_least_squares`` raise for one window;
+    returns the (p, N) parameters. Failed windows stay in the stack, their
+    non-finite entries set to 0 in place: a window keeps its first error and
+    gets the same bits alone or in any stack, so their results are never
+    read. No window reaches it with fewer equations than parameters: every
+    window shorter than its kind's minimum has failed by then.
     """
-    n, _, cols = system.shape
-    p = cols - 1
+    p = system.shape[2] - 1
     if not all_finite(system):
-        fails.add(~np.isfinite(system).all(axis=(1, 2)),
+        finite = np.isfinite(system)
+        fails.add(~finite.all(axis=(1, 2)),
                   lambda i: InvalidInputError("least-squares entries must be finite"))
-    if not fails.errors:
-        result = _solve_stack(system[..., :p], system[..., p], block)
-        params, rejected, condition = result.solutions.T, result.rejected, result.condition
-    else:
-        params, rejected, condition = np.full((p, n), np.nan), np.zeros(n, dtype=bool), np.zeros(n)
-        rows = np.flatnonzero(~fails.failed)
-        if rows.size:
-            result = _solve_stack(system[rows, :, :p], system[rows, :, p], block)
-            params[:, rows], rejected[rows], condition[rows] = (
-                result.solutions.T, result.rejected, result.condition)
-    fails.add(rejected, lambda i: singular_error(float(condition[i])))
-    return params
-
-
-def _solve_stack(designs: np.ndarray, targets: np.ndarray, block: Optional[SharedBlock]):
-    if block is None:
-        return solve_stacked(designs, targets)
-    return solve_shared(designs, targets, block)
+        system[~finite] = 0.0
+    designs, targets = system[..., :p], system[..., p]
+    result = (solve_stacked(designs, targets) if block is None
+              else solve_shared(designs, targets, block))
+    fails.add(result.rejected, lambda i: singular_error(float(result.condition[i])))
+    return result.solutions.T
 
 
 def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> WindowFits:

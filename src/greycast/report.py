@@ -21,6 +21,7 @@ from .rolling import (
     ALL_MODEL_NAMES,
     ForecastTrace,
     RollingConfig,
+    _fill_ef_weights,
     _sharing,
     parse_model,
     resolve_config,
@@ -84,6 +85,9 @@ def compare(dataset: Dataset, models: Sequence[str] = ALL_MODEL_NAMES,
             if kind in omegas:
                 cfg = replace(cfg, omega=float(omegas[kind]))
         configs.append(cfg)
+    # Outside every roll's clock, so an EF row's time does not depend on
+    # whether another EF roll filled the weight cache before it.
+    _fill_ef_weights(configs, max((series.values.size for series in dataset.series), default=0))
     runs: List[List[ForecastTrace]] = [[] for _ in configs]
     failures: List[Optional[str]] = [None] * len(configs)
     for series in dataset.series:

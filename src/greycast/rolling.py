@@ -19,13 +19,9 @@ forecaster's value, and a history too short for the spec falls back with the
 message that forecaster raises. One block then applies the fallbacks, the
 clamp and the trace assembly to every model.
 
-A trace keeps the roll's arrays: its first target index, the read-only
-predicted, observed and fallback-flag columns, the residuals, the per-step
-times and the error messages. The roll hands the arrays it made to the trace
-and its residuals as they are, read-only, with no copy and no second check.
-Its tuple views, ``predictions`` and ``fallbacks``, are built from the
-columns on first read and then kept; the report and the calibration read the
-columns and never build them.
+A trace keeps the read-only arrays the roll made, with no copy and no second
+check; the report and the calibration read those columns, never the tuple
+views ``predictions`` and ``fallbacks``.
 
 The EF correction is a linear filter of each step's residuals
 (``fourier.correction_weights``), applied to the whole roll at once. The
@@ -52,6 +48,7 @@ history per arrival, where a roll's fixed cost is most of its cost.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import time
@@ -141,6 +138,10 @@ class RollingConfig:
                     operator.index(value)
                 except TypeError:
                     raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+        for name in ("ef_in_window", "clamp_nonnegative", "standard_psi"):
+            # Any non-empty string is true, so "false" would switch a flag on.
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise InvalidInputError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.window < 4:
             raise InvalidInputError("window must be at least 4")
         if self.ef_residual_window < 3:
@@ -160,27 +161,6 @@ class RollingConfig:
         return self._effective_window
 
 
-class _memoised:
-    """A value computed from its instance on first read and then kept in the
-    instance's ``__dict__``, which later reads find first. It is
-    ``functools.cached_property`` without the lock that Python 3.10 and 3.11
-    take on every first read: two threads that read at once may both compute
-    the value, and each gets an equal one."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
-
-
 @dataclass(frozen=True, eq=False)
 class ForecastTrace:
     """Per-step record of one rolling run over one series, held as columns.
@@ -191,9 +171,9 @@ class ForecastTrace:
     read-only. The constructor copies a column its caller can still write
     to; ``roll_forecast`` hands over the read-only arrays it made, which
     need no copy. ``predictions`` and ``fallbacks`` are the same steps as
-    tuples, built on first read and then kept. They are kept without a lock:
-    threads that read a fresh trace at once may each build the tuple, and all
-    get equal ones.
+    tuples, built on first read and then kept (``functools.cached_property``;
+    Python 3.10 and 3.11 take a lock on the first read, later versions none,
+    and threads that read a fresh trace at once all get equal tuples).
 
     Two traces are equal when everything but their timings is. A trace holds
     arrays, so it is unhashable.
@@ -244,14 +224,14 @@ class ForecastTrace:
             residuals=residuals, per_step_time=per_step_time, errors=errors)
         return trace
 
-    @_memoised
+    @functools.cached_property
     def predictions(self) -> Tuple[Tuple[int, float, float], ...]:
         """(index, predicted, observed) per step."""
         first = self.start_index
         return tuple(zip(range(first, first + self.predicted_values.size),
                          self.predicted_values.tolist(), self.observed_values.tolist()))
 
-    @_memoised
+    @functools.cached_property
     def fallbacks(self) -> Tuple[bool, ...]:
         """Whether each step fell back to persistence."""
         return tuple(self.fallback_flags.tolist())
@@ -534,12 +514,7 @@ def _buffered_corrections(residuals: np.ndarray, failed: np.ndarray,
     """
     ok = np.flatnonzero(~failed)
     eps = residuals[ok]
-    weights, rejected = {}, {}
-    for n in range(1, min(ok.size - 1, config.ef_residual_window) + 1):
-        try:
-            weights[n] = correction_weights(n, _harmonic_cap(config, n))
-        except SingularSystemError as exc:
-            rejected[n] = str(exc)
+    weights, rejected = _ef_weights(config, _ef_lengths(config, ok.size))
     # Step i's buffer ends at eps[i - 1] and holds i residuals while i <= R.
     # So the first step to read a non-finite residual is one past it, and
     # the first to need a rejected length is that length.
@@ -575,6 +550,37 @@ def _buffered_corrections(residuals: np.ndarray, failed: np.ndarray,
     return ok[1:stop], np.concatenate((ramp, full)), errors
 
 
+def _ef_lengths(config: RollingConfig, steps: int) -> range:
+    """The buffer lengths whose weights an EF roll of ``config`` asks for when
+    ``steps`` of its steps keep their base forecast: w - 1 in the window,
+    else 1..min(steps - 1, R)."""
+    if config.ef_in_window:
+        return range(config._effective_window - 1, config._effective_window)
+    return range(1, min(steps - 1, config.ef_residual_window) + 1)
+
+
+def _ef_weights(config: RollingConfig,
+                lengths: range) -> Tuple[Dict[int, np.ndarray], Dict[int, str]]:
+    """``correction_weights`` of each buffer length in ``lengths``, and the
+    message of each length whose weights are refused as singular."""
+    weights, rejected = {}, {}
+    for n in lengths:
+        try:
+            weights[n] = correction_weights(n, _harmonic_cap(config, n))
+        except SingularSystemError as exc:
+            rejected[n] = str(exc)
+    return weights, rejected
+
+
+def _fill_ef_weights(configs, longest: int) -> None:
+    """Compute, and so keep, the weights that EF rolls of ``configs`` over
+    series of at most ``longest`` values can ask for, once per setting."""
+    settings = {(_ef_lengths(c, longest - c._effective_window), c.ef_harmonics): c
+                for c in configs if c._parsed[1]}
+    for (lengths, _), config in settings.items():
+        _ef_weights(config, lengths)
+
+
 def _filtered(weights: np.ndarray, offsets, columns: np.ndarray) -> np.ndarray:
     """Each step's filter row ``weights[offset]`` applied to its residuals,
     which are ``columns[q]`` for buffer position q: the sum over q of
@@ -602,14 +608,13 @@ def _in_window_corrections(values: np.ndarray, w: int, fitted: np.ndarray,
     columns = observed - fits
     finite = np.isfinite(columns).all(axis=0)
     errors = dict.fromkeys(ok[~finite].tolist(), NON_FINITE_RESIDUALS)
-    try:
-        weights = correction_weights(n, _harmonic_cap(config, n))
-    except SingularSystemError as exc:
-        errors.update(dict.fromkeys(ok[finite].tolist(), str(exc)))
+    weights, rejected = _ef_weights(config, _ef_lengths(config, ok.size))
+    if rejected:
+        errors.update(dict.fromkeys(ok[finite].tolist(), rejected[n]))
         return ok[:0], values[:0], errors
     if errors:
         columns = columns[:, finite]
-    return ok[finite], _filtered(weights, n % weights.shape[0], columns), errors
+    return ok[finite], _filtered(weights[n], n % weights[n].shape[0], columns), errors
 
 
 #: The most candidates a grid may hold; the default grid has 2,000.
@@ -658,6 +663,8 @@ def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
     is skipped. An error a roll raises belongs to the series, not to a
     frequency, so it propagates.
     """
+    if not isinstance(kind, ModelKind):
+        raise InvalidInputError(f"calibrate_omega needs a ModelKind, got {kind!r}")
     if kind not in TRIG_KINDS:
         raise InvalidInputError(f"{kind.value} has no frequency to calibrate")
     base = replace(config if config is not None else RollingConfig(), model=kind.value)
