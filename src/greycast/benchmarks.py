@@ -16,12 +16,12 @@ are the one-history case.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError
+from .errors import NON_FINITE_FORECAST, InsufficientDataError, InvalidInputError
 from .series import Series, all_finite, window_view
 
 
@@ -230,8 +230,10 @@ def _forecast_rows(spec, tails: np.ndarray, standard: bool) -> np.ndarray:
 def forecast_histories(spec, values: np.ndarray, first: int,
                        standard: bool = False) -> Tuple[np.ndarray, Dict[int, str]]:
     """One-step forecasts from the histories values[:end], end = first ..
-    values.size, and {row: message} for the histories shorter than
-    ``spec.min_history`` (their forecast is nan)."""
+    values.size, and {row: message} for the rows the one-history forecaster
+    refuses: a history shorter than ``spec.min_history`` (its forecast is
+    nan), and a longer one whose forecast is not finite
+    (``NON_FINITE_FORECAST``)."""
     need = spec.min_history
     count = values.size - first + 1
     short = min(max(need - first, 0), count)
@@ -243,7 +245,11 @@ def forecast_histories(spec, values: np.ndarray, first: int,
     if lo <= values.size:
         # Row k holds the last ``need`` values of the k-th long history.
         tails = window_view(values[lo - need:], need, count - short)
-        forecasts[short:] = _forecast_rows(spec, tails, standard)
+        long = forecasts[short:]
+        long[:] = _forecast_rows(spec, tails, standard)
+        if not all_finite(long):
+            bad = short + np.flatnonzero(~np.isfinite(long))
+            messages.update(dict.fromkeys(bad.tolist(), NON_FINITE_FORECAST))
     return forecasts, messages
 
 
@@ -259,11 +265,10 @@ def _forecast_one(spec, history, standard: bool = False) -> float:
     if z.ndim != 1 or not all_finite(z):
         raise InvalidInputError("a history must be a 1-d sequence of finite values")
     with np.errstate(all="ignore"):  # an overflow is the error below, not a warning
-        forecasts, short = forecast_histories(spec, z, z.size, standard)
-    if short:
-        raise InsufficientDataError(short[0])
-    if not all_finite(forecasts):
-        raise InvalidInputError("non-finite forecast")
+        forecasts, messages = forecast_histories(spec, z, z.size, standard)
+    if messages:
+        short = z.size < spec.min_history
+        raise (InsufficientDataError if short else InvalidInputError)(messages[0])
     return float(forecasts[0])
 
 

@@ -10,17 +10,14 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-import numpy as np
-
 from . import __version__
 from .config import load_config
-from .data import Dataset, generate_synthetic, ingest_csv, resolve_seed
+from .data import generate_synthetic, ingest_csv
 from .errors import (
     CalibrationFailedError,
     GreycastError,
     InvalidInputError,
 )
-from .metrics import mape, rmse
 from .report import compare, format_csv, format_table, format_trace_csv
 from .rolling import (
     ALL_MODEL_NAMES,

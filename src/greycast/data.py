@@ -4,9 +4,10 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from datetime import datetime
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +46,31 @@ class Dataset:
         object.__setattr__(self, "series", tuple(self.series))
 
 
+#: The stamps that ``datetime.fromisoformat`` reads alike on every supported
+#: Python: an extended date, then optionally 'T' or a space, hh[:mm[:ss]]
+#: with 3 or 6 decimals, and a +hh:mm offset.
+_EXTENDED = re.compile(r"\d{4}-\d\d-\d\d(?:[T ]\d\d(?::\d\d(?::\d\d(?:\.\d{3}(?:\d{3})?)?)?)?"
+                       r"(?:[+-]\d\d:\d\d)?)?")
+#: Every other accepted stamp, a date and a time of day: each extended or
+#: basic (20240205T000530), 1 to 6 decimals after '.' or ',', and an offset
+#: of Z, +hh, +hhmm or +hh:mm. (A basic date alone is an integer index.)
+_ISO = re.compile(r"(\d{4})(-?)(\d\d)\2(\d\d)[T ](\d\d)(?:(:?)(\d\d)(?:\6(\d\d)"
+                  r"(?:[.,](\d{1,6}))?)?)?(?:(Z)|([+-]\d\d)(?::?(\d\d))?)?")
+
+
+def _extended(raw: str) -> str:
+    """``raw`` as an ``_EXTENDED`` stamp; ValueError if ``_ISO`` refuses it."""
+    if _EXTENDED.fullmatch(raw):
+        return raw
+    match = _ISO.fullmatch(raw)
+    if match is None:
+        raise ValueError(raw)
+    year, _, month, day, hour, _, minute, second, decimals, utc, zone, zone_min = match.groups()
+    offset = "+00:00" if utc else f"{zone}:{zone_min or '00'}" if zone else ""
+    return (f"{year}-{month}-{day}T{hour}:{minute or '00'}:{second or '00'}"
+            f".{(decimals or '').ljust(6, '0')}{offset}")
+
+
 def _parse_timestamp(raw: str, line_no: int):
     raw = raw.strip()
     # An integer literal has no ':' and no '-' past its sign, so an ISO stamp
@@ -55,7 +81,7 @@ def _parse_timestamp(raw: str, line_no: int):
         except ValueError:
             pass
     try:
-        return datetime.fromisoformat(raw), False
+        return datetime.fromisoformat(_extended(raw)), False
     except ValueError as exc:
         raise InvalidInputError(
             f"line {line_no}: bad timestamp {raw!r} (ISO-8601 or integer index)"
@@ -66,12 +92,16 @@ def ingest_csv(path: str, interval: Optional[float] = None) -> Dataset:
     """Read a ``timestamp,value[,location]`` CSV into one series per (day, location).
 
     The first line is a header. Timestamps are ISO-8601 (grouped by calendar
-    day) or plain integer indices (one group). The sampling interval is
-    inferred from the first two rows of a group unless given. Negative values
-    are rejected with their line numbers.
+    day) or plain integer indices (one group); a file whose ISO stamps mix
+    ones with and without a UTC offset is refused, naming the first line
+    that differs from the first stamp. The sampling interval is inferred
+    from the first two rows of a group unless given. Negative values are
+    rejected with their line numbers.
     """
     groups: Dict[Tuple[str, str], List[Tuple[object, float]]] = {}
     negatives: List[int] = []
+    raw = None  # the latest timestamp field, parsed into stamp and is_index
+    aware = None  # whether the file's first ISO stamp has a UTC offset
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -87,7 +117,15 @@ def ingest_csv(path: str, interval: Optional[float] = None) -> Dataset:
                 continue
             if len(row) < 2:
                 raise InvalidInputError(f"line {line_no}: expected timestamp,value")
-            stamp, is_index = _parse_timestamp(row[0], line_no)
+            if row[0] != raw:  # rows of one time at several locations parse it once
+                raw = row[0]
+                stamp, is_index = _parse_timestamp(raw, line_no)
+                if not is_index and (stamp.tzinfo is not None) is not aware:
+                    if aware is not None:
+                        raise InvalidInputError(
+                            f"line {line_no}: timestamp {raw.strip()!r} "
+                            f"{'lacks' if aware else 'has'} a UTC offset, unlike the first one")
+                    aware = stamp.tzinfo is not None
             try:
                 value = float(row[1])
             except ValueError:

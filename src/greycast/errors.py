@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types, and the messages that more than one module raises."""
+
+NON_FINITE_FORECAST = "non-finite forecast"  # inf or nan that no closed-form check caught
+NON_FINITE_SYSTEM = "least-squares entries must be finite"
 
 
 class GreycastError(Exception):

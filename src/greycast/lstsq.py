@@ -42,7 +42,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError, SingularSystemError
+from .errors import (NON_FINITE_SYSTEM, InsufficientDataError, InvalidInputError,
+                     SingularSystemError)
 from .series import all_finite, row_sums
 
 CONDITION_LIMIT = 1e12
@@ -77,7 +78,7 @@ class LeastSquaresProblem:
                 f"underdetermined system: {b.shape[0]} rows < {b.shape[1]} columns"
             )
         if not (np.isfinite(b).all() and np.isfinite(y).all()):
-            raise InvalidInputError("least-squares entries must be finite")
+            raise InvalidInputError(NON_FINITE_SYSTEM)
         object.__setattr__(self, "design", b)
         object.__setattr__(self, "targets", y)
 

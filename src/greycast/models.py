@@ -49,6 +49,8 @@ from typing import Callable, Dict, NamedTuple, Optional
 import numpy as np
 
 from .errors import (
+    NON_FINITE_FORECAST,
+    NON_FINITE_SYSTEM,
     GreycastError,
     InsufficientDataError,
     InvalidInputError,
@@ -229,8 +231,7 @@ def _solve(fails: Failures, system: np.ndarray, block: Optional[SharedBlock] = N
     p = system.shape[2] - 1
     if not all_finite(system):
         finite = np.isfinite(system)
-        fails.add(~finite.all(axis=(1, 2)),
-                  lambda i: InvalidInputError("least-squares entries must be finite"))
+        fails.add(~finite.all(axis=(1, 2)), lambda i: InvalidInputError(NON_FINITE_SYSTEM))
         system[~finite] = 0.0
     designs, targets = system[..., :p], system[..., p]
     result = (solve_stacked(designs, targets) if block is None
@@ -485,12 +486,16 @@ def forecast_windows(fits: WindowFits, steps_ahead: int = 1) -> np.ndarray:
     """``steps_ahead`` forecast past every window, without refitting.
 
     The within-window clock runs k = 1..w, so the first out-of-window value
-    lives at local index w + 1. Errors go to ``fits.failures``.
+    lives at local index w + 1. Errors go to ``fits.failures``, and a
+    forecast that the closed form's checks let through non-finite is one.
     """
     if steps_ahead < 1:
         fits.failures.add_all(lambda i: InvalidInputError("steps_ahead must be >= 1"))
         return np.full(fits.a.size, np.nan)
-    return _one_step(fits, fits.window_len + steps_ahead - 1)
+    value = _one_step(fits, fits.window_len + steps_ahead - 1)
+    if not all_finite(value):
+        fits.failures.add(~np.isfinite(value), lambda i: InvalidInputError(NON_FINITE_FORECAST))
+    return value
 
 
 def fitted_windows(fits: WindowFits) -> np.ndarray:
@@ -627,7 +632,9 @@ def forecast_trig(fit: GreyFit, k: int) -> float:
 
 
 def forecast(fit: GreyFit, steps_ahead: int = 1) -> float:
-    """Forecast ``steps_ahead`` past the fitted window, without refitting."""
+    """Forecast ``steps_ahead`` past the fitted window, without refitting.
+
+    Raises what a roll flags the step with, "non-finite forecast" included."""
     return float(_one_window(fit, lambda fits: forecast_windows(fits, steps_ahead),
                              overflow_error=False))
 

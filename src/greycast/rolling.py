@@ -11,13 +11,13 @@ them as one stack, with no copy (``series.window_view``), and hands them to
 ``models.fit_windows`` and ``models.forecast_windows``, whose one-window case
 is ``fit_model`` / ``forecast``. Every window is solved on its own, so a
 step's forecast does not depend on the rest of the series and equals
-``forecast(fit_model(window))`` bit for bit. A window that fails, or whose
-forecast is not finite, falls back with the message its one-window call
-raises. A benchmark roll views its histories' tails the same way
-(``benchmarks.forecast_histories``): each step equals the one-history
-forecaster's value, and a history too short for the spec falls back with the
-message that forecaster raises. One block then applies the fallbacks, the
-clamp and the trace assembly to every model.
+``forecast(fit_model(window))`` bit for bit. A window that fails falls back
+with the message its one-window call raises; the kernels own every rule,
+a non-finite forecast's included. A benchmark roll views its histories'
+tails the same way (``benchmarks.forecast_histories``): each step equals the
+one-history forecaster's value, and a history that forecaster refuses falls
+back with the message it raises. The roll itself only applies the
+fallbacks, the EF correction, the clamp and the trace assembly.
 
 A trace keeps the read-only arrays the roll made, with no copy and no second
 check; the report and the calibration read those columns, never the tuple
@@ -68,6 +68,7 @@ from .errors import (
 )
 from .config import load_config
 from .lstsq import SHARED_CONDITION_LIMIT
+from .metrics import rmse
 from .fourier import (
     NON_FINITE_RESIDUALS,
     ResidualSeries,
@@ -317,9 +318,6 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
             raw, messages = benchmarks.forecast_histories(
                 resolve_config(config).benchmark_spec, values[:-1], w, config.standard_psi)
             failed = ~np.isfinite(raw)
-            if np.count_nonzero(failed) > len(messages):
-                late = np.flatnonzero(failed)[len(messages):]
-                messages.update(dict.fromkeys(late.tolist(), "non-finite forecast"))
         predicted = raw
         if ef:
             if in_window:
@@ -463,11 +461,7 @@ def _base_forecasts(values: np.ndarray, w: int, kind: ModelKind, config: Rolling
         if shared is not None:
             # A shared fit keeps its own failures; this roll's go to a copy.
             fits = fits._replace(failures=fits.failures.copy())
-        part = forecast_windows(fits, config.multi_step)
-        if not all_finite(part):
-            fits.failures.add(~np.isfinite(part),
-                              lambda i: InvalidInputError("non-finite forecast"))
-        raw.append(part)
+        raw.append(forecast_windows(fits, config.multi_step))
         if in_window:
             fitted.append(fitted_windows(fits))
         if fits.failures.errors:
@@ -528,22 +522,24 @@ def _buffered_corrections(residuals: np.ndarray, failed: np.ndarray,
     end = stop - 1  # steps 1..end are corrected
     if end < 1:
         return ok[:0], eps[:0], errors
-    # The series fitted to a buffer has period T = max(n - 1, 1), so the step
-    # after the latest residual is at offset (latest + 1 - first) mod T; gaps
-    # left by fallbacks count, as the buffer keeps each residual's own index.
-    # Buffers grow by one per step up to ``width`` residuals, then keep that
-    # length. The growing ones are right-aligned rows, zero on the left.
+    # The series fitted to a buffer has period T, the row count of its
+    # weights, so the step after the latest residual is at offset
+    # (latest + 1 - first) mod T; gaps left by fallbacks count, as the buffer
+    # keeps each residual's own index. Buffers grow by one per step up to
+    # ``width`` residuals, then keep that length. The growing ones are
+    # right-aligned rows, zero on the left.
     width = min(end, config.ef_residual_window)
     first = ok[:width].tolist()
     rows = np.zeros((width - 1, width))
     for r in range(width - 1):
-        rows[r, width - 1 - r:] = weights[r + 1][(first[r] + 1 - first[0]) % max(r, 1)]
+        own = weights[r + 1]
+        rows[r, width - 1 - r:] = own[(first[r] + 1 - first[0]) % own.shape[0]]
     # Growing buffers: position q of steps 1..width-1 is padded[q:q + width - 1].
     padded = np.concatenate((np.zeros(width - 1), eps[:width - 1]))
     ramp = _filtered(rows, slice(None), window_view(padded, width - 1, width))
     # Full buffers: position q of steps width..end is the slice eps[q:q + count].
     count = end - width + 1
-    offsets = (ok[width - 1:end] + 1 - ok[:count]) % max(width - 1, 1)
+    offsets = (ok[width - 1:end] + 1 - ok[:count]) % weights[width].shape[0]
     if not np.count_nonzero(offsets != offsets[0]):
         offsets = offsets[0]
     full = _filtered(weights[width], offsets, window_view(eps, count, width))
@@ -685,11 +681,9 @@ def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
             trace = roll_forecast(series, replace(base, omega=float(omega)))
             if trace.fallback_flags.all():
                 continue
-            err = trace.residuals.values
-            with np.errstate(over="ignore"):
-                rmse = float(np.sqrt(np.mean(err * err)))
-            if rmse < best_rmse - tolerance:
-                best_omega, best_rmse = float(omega), rmse
+            score = rmse(trace.predicted_values, trace.observed_values)
+            if score < best_rmse - tolerance:
+                best_omega, best_rmse = float(omega), score
     if best_omega is None:
         raise CalibrationFailedError("no grid frequency produced a usable fit")
     return best_omega
