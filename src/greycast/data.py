@@ -218,7 +218,8 @@ def augment_stuck_values(series: Series, sigma: float = 0.01,
 
 def _number(key: str, raw):
     """A synthetic parameter as a finite float, or a whole count or position
-    (n, start, recover, ramp) as an int; else ``InvalidInputError``."""
+    (n, start, recover, ramp) as an int; else ``InvalidInputError``. A count
+    (n, ramp) below 1 and a negative ``sigma`` are refused too."""
     whole = key in ("n", "start", "recover", "ramp")
     try:
         value = float(raw)
@@ -227,6 +228,10 @@ def _number(key: str, raw):
     if not math.isfinite(value) or (whole and value != int(value)):
         raise InvalidInputError(
             f"parameter {key} must be a {'whole' if whole else 'finite'} number, got {raw!r}")
+    if key in ("n", "ramp") and value < 1:
+        raise InvalidInputError(f"parameter {key} must be at least 1, got {raw!r}")
+    if key == "sigma" and value < 0:
+        raise InvalidInputError(f"parameter sigma must not be negative, got {raw!r}")
     return int(value) if whole else value
 
 
@@ -301,25 +306,33 @@ def _incident(params: dict, rng) -> np.ndarray:
     return values
 
 
+#: Each generator and the parameters it reads.
 _GENERATORS = {
-    "exponential": _exponential,
-    "logistic": _logistic,
-    "seasonal": _seasonal,
-    "incident": _incident,
+    "exponential": (_exponential, ("a", "b", "n", "x1")),
+    "logistic": (_logistic, ("cap", "mid", "n", "rate", "sigma")),
+    "seasonal": (_seasonal, ("amp", "mean", "n", "period", "sigma")),
+    "incident": (_incident, ("base", "drop", "n", "ramp", "recover", "sigma", "start")),
 }
 
 
 def generate_synthetic(name: str, seed: Optional[int] = None,
                        interval: float = 60.0, **params) -> Series:
     """Deterministic synthetic series; parameters are recorded in the label.
-    Each must be a finite number, and a count or position a whole one."""
+    Each must be one the generator reads and a finite number, a count or
+    position a whole one, a count (n, ramp) at least 1 and sigma not
+    negative."""
     key = name.strip().lower()
     if key not in _GENERATORS:
         raise InvalidInputError(
             f"unknown generator '{name}' (choose from {sorted(_GENERATORS)})")
+    generator, accepted = _GENERATORS[key]
+    unknown = [k for k in params if k not in accepted]
+    if unknown:
+        raise InvalidInputError(
+            f"parameter {unknown[0]} is not one of {key}'s: {', '.join(accepted)}")
     actual_seed = resolve_seed(seed)
     rng = np.random.default_rng(actual_seed)
-    values = _GENERATORS[key]({k: _number(k, v) for k, v in params.items()}, rng)
+    values = generator({k: _number(k, v) for k, v in params.items()}, rng)
     detail = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
     label = f"{key}({detail}) seed={actual_seed}".strip()
     return Series(values, interval=interval, label=label)

@@ -34,6 +34,12 @@ returning noise.
   Fourier designs and the ill-conditioned trigonometric windows.
 
 Every path solves a system to the same bits alone or inside any stack.
+
+The stacks keep the (N, m, p) and (N, m) signatures, but the solvers read
+them window-last, through ``.T``: (p, m, N) design columns and (m, N)
+targets, so every numpy call runs over (N,) rows. ``models`` builds its
+systems window-last in memory and hands over their (N, m, p) views, whose
+rows are then contiguous; any other layout gives the same bits.
 """
 from __future__ import annotations
 
@@ -56,10 +62,12 @@ SHARED_CONDITION_LIMIT = 1e4
 
 #: The smallest stacks solved as a whole; a smaller stack is solved one
 #: system at a time on floats, which costs less than a stack's fixed cost.
-#: Measured on a 2-vCPU Xeon VM: the two-column Jacobi stack costs about as
-#: much as 10 systems of ``_jacobi_one``, and ``_project`` on columns about
-#: as much as 5 to 6 windows (GM_S, GM_C) or 6 to 7 (GM_SC) on floats.
-MIN_JACOBI_STACK = 10
+#: Measured on a 2-vCPU Xeon VM with window-last stacks (interleaved, min of
+#: 15 x 200 calls): the two-column Jacobi stack costs about as much as 12 to
+#: 13 systems of ``_jacobi_one`` (GM11, GVM) or 10 to 11 (GM_ESC's second
+#: stage), and ``_project`` on columns about as much as 5 to 6 windows
+#: (GM_S, GM_C) or 6 to 7 (GM_SC) on floats.
+MIN_JACOBI_STACK = 12
 MIN_PROJECTION_STACK = 6
 
 
@@ -104,9 +112,12 @@ def solve_stacked(designs: np.ndarray, targets: np.ndarray) -> StackedSolution:
     ``solve_shared`` sends GM_S, GM_C and GM_SC windows here only when their
     Frobenius condition bound exceeds ``SHARED_CONDITION_LIMIT``; a window it
     solves itself reports that bound, within p times the 2-norm condition,
-    as its condition. Against a 60-digit solve of the normal equations
-    of 4,000 adversarial windows per kind (spikes, near-constant and
-    log-normal values), the relative error (median / p99 / max) is:
+    as its condition. Only LAPACK gets the (N, m, p) stack as it is; the
+    Jacobi kernel reads ``designs.T``, (2, m, N), and ``targets.T``.
+
+    Against a 60-digit solve of the normal equations of 4,000 adversarial
+    windows per kind (spikes, near-constant and log-normal values), the
+    relative error (median / p99 / max) is:
 
     - GM(1,1): Jacobi 2.7e-16 / 9.2e-12 / 1.3e-8, LAPACK 6.0e-16 / 2.4e-11 / 3.8e-8;
     - Verhulst: Jacobi 1.8e-16 / 3.9e-12 / 6.3e-10, LAPACK 7.3e-16 / 1.9e-11 / 1.8e-9;
@@ -116,9 +127,9 @@ def solve_stacked(designs: np.ndarray, targets: np.ndarray) -> StackedSolution:
     both reject the same systems.
     """
     n, m, p = designs.shape
+    targets = np.asarray(targets, dtype=float)
     if p == 2 and 0 < n < MIN_JACOBI_STACK:
         # Each system's two design columns and its target columns, as lists.
-        targets = np.asarray(targets)
         columns = (targets.transpose(0, 2, 1) if targets.ndim == 3 else targets[:, None])
         size = max(m, p)
         solutions, condition, rejected = zip(*[
@@ -127,13 +138,13 @@ def solve_stacked(designs: np.ndarray, targets: np.ndarray) -> StackedSolution:
         solutions = np.array(solutions)  # (N, k, 2)
         return StackedSolution(solutions.transpose(0, 2, 1) if targets.ndim == 3
                                else solutions[:, 0], np.array(condition), np.array(rejected))
-    targets = np.ascontiguousarray(targets, dtype=float)
-    columns = targets if targets.ndim == 3 else targets[:, :, None]
     if p == 2:
         with np.errstate(all="ignore"):  # rejected systems may not be finite
-            solutions, smax, smin = _jacobi_stack(designs, columns)
+            solutions, smax, smin = _jacobi_stack(designs.T, targets.T)
     else:
-        solutions, smax, smin = _svd_stack(designs, columns)
+        targets = np.ascontiguousarray(targets)
+        solutions, smax, smin = _svd_stack(designs, targets if targets.ndim == 3
+                                           else targets[:, :, None])
     with np.errstate(over="ignore"):  # a condition beyond the float range is inf
         if np.count_nonzero(smin) == n:
             condition = smax / smin
@@ -210,8 +221,11 @@ def solve_shared(designs: np.ndarray, targets: np.ndarray,
     ``solve_stacked``: the same bits, condition and rejection as without
     the block. ``_project`` computes all this on each window's floats in a
     stack of fewer than ``MIN_PROJECTION_STACK``, else on the stack's (N,)
-    columns. Its sums run left to right (``series.ordered_dot``) and the rest
-    is elementwise, so a window gets the same bits alone or in any stack.
+    columns, the rows of ``designs[:, :, 0].T`` and ``targets.T``. Its sums
+    run left to right (``series.ordered_dot``) and the rest is elementwise,
+    so a window gets the same bits alone or in any stack. Only the windows
+    above the bound are gathered into an (n, m, p) stack for
+    ``solve_stacked``.
 
     Against a 60-digit solve of the normal equations of the projected windows
     among 2,880 adversarial ones (seasonal, spiky, near-constant, log-normal,
@@ -298,9 +312,13 @@ _HOPELESS = 1e-26
 _SIGNS = np.array([-1.0, 1.0])[:, None, None]
 
 
-def _jacobi_stack(designs: np.ndarray, columns: np.ndarray):
+def _jacobi_stack(designs: np.ndarray, targets: np.ndarray):
     """Solutions (N, 2, k) and largest and smallest singular values of N >= 2
     two-column systems, by a one-sided Jacobi SVD over the stack.
+
+    It reads the systems window-last: ``designs`` is (2, m, N), column, row,
+    system, and ``targets`` (m, N), or (k, m, N) for k right-hand sides, so
+    every operation runs over (N,) rows.
 
     Each system and its targets are scaled by the power of two of the
     system's largest entry, which is exact: then no sum overflows, and a
@@ -312,10 +330,10 @@ def _jacobi_stack(designs: np.ndarray, columns: np.ndarray):
     depend on how long the rest of the stack takes; and every sum runs over
     the rows in order, so they do not depend on the stack's size either.
     """
-    n, m, _ = designs.shape
-    _, scale = np.frexp(np.abs(designs).max(axis=(1, 2)))
+    _, m, n = designs.shape
+    _, scale = np.frexp(np.abs(designs).max(axis=(0, 1)))
     w = np.empty((2, m + 2, n))  # column, row of [B; I], system
-    w[:, :m] = np.ldexp(designs, -scale[:, None, None]).transpose(2, 1, 0)
+    np.ldexp(designs, -scale, out=w[:, :m])
     w[:, m:] = np.eye(2)[:, :, None]
     products = np.empty((3, m, n))
     terms = products.transpose(0, 2, 1)
@@ -334,10 +352,10 @@ def _jacobi_stack(designs: np.ndarray, columns: np.ndarray):
         # (c w0 - s w1, c w1 + s w0): negating s and swapping two addends are
         # exact, so these are the scalar twin's bits.
         w = np.where(rotate, c * w + (s * _SIGNS) * w[::-1], w)
-    # x = V diag(1/s^2) (B V)'y, on the scaled system.
-    y = np.ldexp(columns, -scale[:, None, None]).transpose(1, 2, 0)
+    # x = V diag(1/s^2) (B V)'y, on the scaled system; y is (k, m, N).
+    y = np.ldexp(targets if targets.ndim == 3 else targets[None], -scale)
     norms = np.stack([alpha, beta])
-    coef = (row_sums((w[:, :m, None, :] * y).transpose(0, 2, 3, 1))
+    coef = (row_sums((w[:, None, :m] * y).transpose(0, 1, 3, 2))
             / np.where(norms == 0.0, 1.0, norms)[:, None])
     solutions = w[0, m:, None] * coef[0] + w[1, m:, None] * coef[1]
     sigma = np.sqrt(norms)

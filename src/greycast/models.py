@@ -33,6 +33,12 @@ the same point. ``fit_model``, ``forecast``, ``forecast_gm11``,
 GM_ESC's fit is GM(1,1)'s fit followed by ``fit_esc_windows``, which leaves
 the GM(1,1) fits as they are, so one stage one can serve every frequency.
 
+A stack comes in as (N, w) windows, but the fits work window-last, on its
+transpose: each local time k is one (N,) row of values, of the mean
+sequence, of each design column and of the targets. A ``series.window_view``
+stack's rows are contiguous slices of the series. The parameters come back
+as (N,) arrays, and the closed forms evaluate one (N,) row per time.
+
 The per-kind facts live in one table, ``_KINDS``, with one row per kind;
 ``TRIG_KINDS``, ``DEFAULT_OMEGA``, ``EF_NAME`` and ``MIN_WINDOW`` are views
 of it.
@@ -187,9 +193,10 @@ class WindowFits(NamedTuple):
     and ``b`` is the constant forcing; a coefficient the kind lacks is 0. For
     GM11 ``b`` is the grey input and for GVM the Verhulst coefficient, and
     ``omega`` is None. Each parameter is an (N,) array; those of a window
-    in ``failures`` are not meaningful. ``mean`` is the (N, w-1) mean
-    sequence the fit regressed on, which GM_ESC's second stage reuses; a
-    stack that was not fitted here has none.
+    in ``failures`` are not meaningful. ``mean`` is the mean sequence the
+    fit regressed on, window-last: (w-1, N), one row per local time k = 2..w.
+    GM_ESC's second stage reuses it; a stack that was not fitted here has
+    none.
     """
 
     kind: ModelKind
@@ -210,17 +217,20 @@ def _overflow_error(kind: ModelKind, a: np.ndarray) -> Callable[[int], GreycastE
 
 
 def _overflowed(args: np.ndarray) -> np.ndarray:
-    """Rows where some e^arg overflows, as ``math.exp(arg)`` would raise."""
+    """Windows (columns) where some e^arg overflows, as ``math.exp(arg)``
+    would raise."""
     e = np.exp(args)
-    return (np.isinf(e) & np.isfinite(args)).any(axis=1)
+    return (np.isinf(e) & np.isfinite(args)).any(axis=0)
 
 
 def _solve(fails: Failures, system: np.ndarray, block: Optional[SharedBlock] = None
            ) -> np.ndarray:
-    """Solve each window's (m, p) system, stored with its targets as column p.
+    """Solve each window's system from its window-last (p + 1, m, N) rows:
+    the p design columns, then the targets.
 
     With ``block``, the design's columns 1..p-1 are the block's C, and
-    ``solve_shared`` solves it; otherwise ``solve_stacked``. Reports what
+    ``solve_shared`` solves it; otherwise ``solve_stacked``. Both get the
+    (N, m, p) and (N, m) views of the rows. Reports what
     ``LeastSquaresProblem`` and ``solve_least_squares`` raise for one window;
     returns the (p, N) parameters. Failed windows stay in the stack, their
     non-finite entries set to 0 in place: a window keeps its first error and
@@ -228,12 +238,12 @@ def _solve(fails: Failures, system: np.ndarray, block: Optional[SharedBlock] = N
     read. No window reaches it with fewer equations than parameters: every
     window shorter than its kind's minimum has failed by then.
     """
-    p = system.shape[2] - 1
+    p = system.shape[0] - 1
     if not all_finite(system):
         finite = np.isfinite(system)
-        fails.add(~finite.all(axis=(1, 2)), lambda i: InvalidInputError(NON_FINITE_SYSTEM))
+        fails.add(~finite.all(axis=(0, 1)), lambda i: InvalidInputError(NON_FINITE_SYSTEM))
         system[~finite] = 0.0
-    designs, targets = system[..., :p], system[..., p]
+    designs, targets = system[:p].T, system[p].T
     result = (solve_stacked(designs, targets) if block is None
               else solve_shared(designs, targets, block))
     fails.add(result.rejected, lambda i: singular_error(float(result.condition[i])))
@@ -252,14 +262,17 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
     (``fit_esc_windows``) regresses its residuals on e^(-k a) sin(omega k) and
     e^(-k a) cos(omega k). ``omega`` defaults to ``DEFAULT_OMEGA``.
 
+    It works on ``windows.T``, one (N,) row per local time, and hands the
+    solvers (N, m, p) views of its window-last systems.
+
     Like the other stack functions it reports overflow and invalid values
     through numpy's error state; the errors it cares about are in the
     returned ``failures``.
     """
     if kind is ModelKind.GM_ESC:
         return fit_esc_windows(fit_windows(ModelKind.GM11, windows), windows, omega)
-    x = np.asarray(windows, dtype=float)
-    n, w = x.shape
+    x = np.asarray(windows, dtype=float).T
+    w, n = x.shape
     fails = Failures(n)
     row = _KINDS[kind]
     freq = None
@@ -274,38 +287,38 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
     elif n:
         low = x.min()
         if not (low >= 0.0 and all_finite(x)):
-            fails.add(~np.isfinite(x).all(axis=1),
+            fails.add(~np.isfinite(x).all(axis=0),
                       lambda i: InvalidInputError("window contains non-finite values"))
             negative = x < 0
-            fails.add(negative.any(axis=1), lambda i: InvalidInputError(
-                f"negative value at window index {int(np.argmax(negative[i]))}"))
+            fails.add(negative.any(axis=0), lambda i: InvalidInputError(
+                f"negative value at window index {int(np.argmax(negative[:, i]))}"))
     if w < row.min_window:
         fails.add_all(lambda i: InsufficientDataError(
             f"{kind.value} needs a window of at least {row.min_window}"))
     if kind is ModelKind.GVM and low is not None and not low > 0.0:
         nonpositive = x <= 0
-        fails.add(nonpositive.any(axis=1), lambda i: InvalidInputError(
+        fails.add(nonpositive.any(axis=0), lambda i: InvalidInputError(
             "Verhulst fit needs strictly positive values "
-            f"(index {int(np.argmax(nonpositive[i]))})"))
+            f"(index {int(np.argmax(nonpositive[:, i]))})"))
     if fails.errors and fails.failed.all():
         return _all_failed(kind, n, freq, w, fails)
-    z = _mean_sequence(x)
+    z = _mean_sequence(x.T).T
     # Design columns, then the targets x0(2..w) as the last column.
-    system = np.empty((n, w - 1, 3 + len(row.trig)))
-    np.negative(z, out=system[..., 0])
+    system = np.empty((3 + len(row.trig), w - 1, n))
+    np.negative(z, out=system[0])
     block = None
     if kind is ModelKind.GVM:
-        np.multiply(z, z, out=system[..., 1])
+        np.multiply(z, z, out=system[1])
     elif row.trig:
         block = _shared_block(kind, w, freq)
-        system[..., 1:-1] = block.columns
+        system[1:-1] = block.columns.T[:, :, None]
     else:
-        system[..., 1] = 1.0
-    system[..., -1] = x[:, 1:]
+        system[1] = 1.0
+    system[-1] = x[1:]
     params = _solve(fails, system, block)
     coef, zero = dict(zip(row.trig, params[1:-1])), np.zeros(n)
     return WindowFits(kind, params[0], params[-1], coef.get(0, zero), coef.get(1, zero),
-                      x[:, 0], freq, w, fails, z)
+                      x[0], freq, w, fails, z)
 
 
 @functools.lru_cache(maxsize=128)
@@ -328,8 +341,8 @@ def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = Non
     first; otherwise a window keeps its stage-1 error. ``stage_one`` is left
     as it is, so one GM(1,1) fit can serve every frequency.
     """
-    x = np.asarray(windows, dtype=float)
-    n, w = x.shape
+    x = np.asarray(windows, dtype=float).T
+    w, n = x.shape
     freq = DEFAULT_OMEGA[ModelKind.GM_ESC] if omega is None else float(omega)
     message = _omega_message(freq, w)
     if message is None:
@@ -341,19 +354,19 @@ def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = Non
         return _all_failed(ModelKind.GM_ESC, n, freq, w, fails)
     a, b = stage_one.a, stage_one.b
     k = _local_times(w)
-    residuals = x[:, 1:] + a[:, None] * stage_one.mean - b[:, None]
-    damp = np.exp(-a[:, None] * k)
+    residuals = x[1:] + a * stage_one.mean - b
+    damp = np.exp(-a * k[:, None])
     if not (damp.min() >= 1e-250 and all_finite(damp)):
-        fails.add(~np.isfinite(damp).all(axis=1) | (np.abs(damp).max(axis=1) < 1e-250),
+        fails.add(~np.isfinite(damp).all(axis=0) | (np.abs(damp).max(axis=0) < 1e-250),
                   lambda i: NumericalDegeneracyError(
                       "stage-2 design degenerate: e^(-k a) underflowed or overflowed"))
-    system = np.empty(damp.shape + (3,))
+    system = np.empty((3,) + damp.shape)
     sin_k, cos_k = _trig_columns(w, freq)
-    np.multiply(damp, sin_k, out=system[..., 0])
-    np.multiply(damp, cos_k, out=system[..., 1])
-    system[..., 2] = residuals
+    np.multiply(damp, sin_k[:, None], out=system[0])
+    np.multiply(damp, cos_k[:, None], out=system[1])
+    system[2] = residuals
     bs, bc = _solve(fails, system)
-    return WindowFits(ModelKind.GM_ESC, a, b, bs, bc, x[:, 0], freq, w, fails)
+    return WindowFits(ModelKind.GM_ESC, a, b, bs, bc, x[0], freq, w, fails)
 
 
 @functools.lru_cache(maxsize=128)
@@ -380,12 +393,14 @@ def _all_failed(kind: ModelKind, n: int, freq, w: int, fails: Failures) -> Windo
     return WindowFits(kind, nan, nan, nan, nan, nan, freq, w, fails)
 
 
-def _mean_sequence(x: np.ndarray) -> np.ndarray:
-    """Mean sequence z1(k), k = 2..w, of each window's accumulation."""
-    x1 = np.add.accumulate(x, axis=1)
-    z = x1[:, :-1] + x1[:, 1:]
+def _mean_sequence(windows: np.ndarray) -> np.ndarray:
+    """Mean sequence z1(k), k = 2..w, of each window's accumulation, as the
+    (N, w-1) view of the window-last (w-1, N) rows it is computed on: the
+    accumulation runs down ``windows.T``."""
+    x1 = np.add.accumulate(windows.T, axis=0)
+    z = x1[:-1] + x1[1:]
     z /= 2.0
-    return z
+    return z.T
 
 
 @functools.lru_cache(maxsize=None)
@@ -400,20 +415,20 @@ def _local_times(w: int) -> np.ndarray:
 
 def _trig_part(fits: WindowFits, times: tuple) -> np.ndarray:
     """q(t), the trigonometric part of the particular solution, of every
-    window (row) at each time t of ``times`` (column). The particular
-    solution is q(t) + b/a."""
+    window (column) at each time t of ``times`` (row): one (N,) row per
+    time. The particular solution is q(t) + b/a."""
     a, bs, bc, w = fits.a, fits.bs, fits.bc, fits.omega
-    cos_wt = np.array([math.cos(w * t) for t in times])
-    sin_wt = np.array([math.sin(w * t) for t in times])
+    cos_wt = np.array([[math.cos(w * t)] for t in times])
+    sin_wt = np.array([[math.sin(w * t)] for t in times])
     if fits.kind is ModelKind.GM_ESC:
         # e^(-a t) (bc sin(w t) - bs cos(w t)) / w
         cos_part, sin_part = bs / -w, bc / w
-        return (np.exp(a[:, None] * -np.array(times))
-                * (cos_part[:, None] * cos_wt + sin_part[:, None] * sin_wt))
+        return (np.exp(a * -np.array(times)[:, None])
+                * (cos_part * cos_wt + sin_part * sin_wt))
     # ((a bc - bs w) cos(w t) + (a bs + bc w) sin(w t)) / (a^2 + w^2)
     den = a * a + w * w
     cos_part, sin_part = (a * bc - bs * w) / den, (a * bs + bc * w) / den
-    return cos_part[:, None] * cos_wt + sin_part[:, None] * sin_wt
+    return cos_part * cos_wt + sin_part * sin_wt
 
 
 def _increment(fits: WindowFits, u: float, s: float) -> np.ndarray:
@@ -446,14 +461,14 @@ def _increment(fits: WindowFits, u: float, s: float) -> np.ndarray:
     if fits.kind is ModelKind.GM11:
         value = np.exp(a * (1.0 - u)) * (x0 * growth + b * s * ratio)
     else:
-        q_1, q_end, q_start = _trig_part(fits, (1.0, u + s, u)).T
+        q_1, q_end, q_start = _trig_part(fits, (1.0, u + s, u))
         value = (np.exp(a * (1.0 - u)) * ((x0 - q_1) * growth + b * s * ratio)
                  + (q_end - q_start))
     if not all_finite(value):
         exponents = [x, a * (1.0 - u - s)]
         if fits.kind is ModelKind.GM_ESC:
             exponents.append(a * -(u + s))
-        fits.failures.add(~np.isfinite(value) & _overflowed(np.column_stack(exponents)),
+        fits.failures.add(~np.isfinite(value) & _overflowed(np.array(exponents)),
                           _overflow_error(fits.kind, a), overflow=True)
     return value
 
@@ -467,18 +482,18 @@ def _gvm(fits: WindowFits, k: int) -> np.ndarray:
     a, x1, fails = fits.a, fits.x0_1, fits.failures
     bx = fits.b * x1
     a_bx = a - bx
-    args = a[:, None] * np.array([k - 1.0, k - 2.0, 1.0])
-    e = np.exp(args)  # e^(a(k-1)), e^(a(k-2)), e^a
-    d = bx[:, None] + a_bx[:, None] * e[:, :2]
-    value = (a * x1 * a_bx / d[:, 0]) * ((1.0 - e[:, 2]) * e[:, 1] / d[:, 1])
+    args = a * np.array([[k - 1.0], [k - 2.0], [1.0]])
+    e = np.exp(args)  # rows e^(a(k-1)), e^(a(k-2)), e^a
+    d = bx + a_bx * e[:2]
+    value = (a * x1 * a_bx / d[0]) * ((1.0 - e[2]) * e[1] / d[1])
     if not (all_finite(e) and np.count_nonzero(np.abs(d) > GVM_DENOM_FLOOR) == d.size):
         # The checks of the one-window code, in its order.
-        fails.add(_overflowed(args[:, :2]), _overflow_error(fits.kind, a), overflow=True)
-        fails.add(np.abs(d[:, 0]) <= GVM_DENOM_FLOOR, lambda i: NumericalDegeneracyError(
+        fails.add(_overflowed(args[:2]), _overflow_error(fits.kind, a), overflow=True)
+        fails.add(np.abs(d[0]) <= GVM_DENOM_FLOOR, lambda i: NumericalDegeneracyError(
             "Verhulst forecast: e^(a(k-1)) denominator vanished"))
-        fails.add(np.abs(d[:, 1]) <= GVM_DENOM_FLOOR, lambda i: NumericalDegeneracyError(
+        fails.add(np.abs(d[1]) <= GVM_DENOM_FLOOR, lambda i: NumericalDegeneracyError(
             "Verhulst forecast: e^(a(k-2)) denominator vanished"))
-        fails.add(_overflowed(args[:, 2:]), _overflow_error(fits.kind, a), overflow=True)
+        fails.add(_overflowed(args[2:]), _overflow_error(fits.kind, a), overflow=True)
     return value
 
 

@@ -7,9 +7,11 @@ on residuals observed before the step (no lookahead). Fit failures never abort
 a roll: the step falls back to persistence (last observation) and is flagged.
 
 A grey-model roll fits and forecasts all of its windows at once: it views
-them as one stack, with no copy (``series.window_view``), and hands them to
-``models.fit_windows`` and ``models.forecast_windows``, whose one-window case
-is ``fit_model`` / ``forecast``. Every window is solved on its own, so a
+them as one (N, w) stack, with no copy (``series.window_view``), and hands
+them to ``models.fit_windows`` and ``models.forecast_windows``, whose
+one-window case is ``fit_model`` / ``forecast``. The fits read the stack
+window-last, where row j of its transpose is the series slice
+``values[j:j + N]``. Every window is solved on its own, so a
 step's forecast does not depend on the rest of the series and equals
 ``forecast(fit_model(window))`` bit for bit. A window that fails falls back
 with the message its one-window call raises; the kernels own every rule,

@@ -53,7 +53,8 @@ def ordered_dot(left, right):
 
 def window_view(values: np.ndarray, width: int, count: int) -> np.ndarray:
     """The read-only (count, width) view whose row k is ``values[k:k + width]``:
-    ``sliding_window_view`` without its fixed cost. One row is a plain slice."""
+    ``sliding_window_view`` without its fixed cost. One row is a plain slice.
+    Row j of its transpose is the contiguous slice ``values[j:j + count]``."""
     if width < 0 or count < 0 or count + width - 1 > values.size:
         raise InvalidInputError(f"{count} windows of {width} read past {values.size} values")
     if count == 1:  # the online case, where a flag write costs more than the slice
