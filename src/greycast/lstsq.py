@@ -34,6 +34,9 @@ returning noise.
   Fourier designs and the ill-conditioned trigonometric windows.
 
 Every path solves a system to the same bits alone or inside any stack.
+``solve_floats`` solves one system given as floats, the one-window fits of
+``models``, by the scalar kernels ``_jacobi_one`` and ``_project``, and only
+a trigonometric window above the kappa_F gate as an array.
 
 The stacks keep the (N, m, p) and (N, m) signatures, but the solvers read
 them window-last, through ``.T``: (p, m, N) design columns and (m, N)
@@ -254,6 +257,31 @@ def solve_shared(designs: np.ndarray, targets: np.ndarray,
         other = solve_stacked(designs[rest], targets[rest])
         solutions[rest], condition[rest], rejected[rest] = other
     return StackedSolution(solutions, condition, rejected)
+
+
+def solve_floats(design: list, target: list, block: Optional[SharedBlock] = None):
+    """One system of ``solve_stacked``, or with ``block`` of ``solve_shared``,
+    given as floats: its design columns as lists of m floats and its m
+    targets. Without ``block`` the design has two columns; with it, only its
+    first, the block's C being the rest.
+
+    Returns the p solution floats, the condition estimate and whether the
+    system is rejected, with the bits the system gets in any stack: the
+    scalar kernels ``_project`` and ``_jacobi_one`` make the stack's
+    operations, and a trigonometric window above the kappa_F gate goes to
+    ``solve_stacked`` as a stack of one.
+    """
+    if block is None:
+        (solution,), condition, rejected = _solve_one(design[0], design[1], [target],
+                                                      max(len(target), 2))
+        return list(solution), condition, rejected
+    if block.basis is not None:
+        solution, bound = _project(design[0], target, block)
+        if bound <= SHARED_CONDITION_LIMIT ** 2:
+            return solution, math.sqrt(bound), False
+    result = solve_stacked(np.column_stack((design[0], block.columns))[None],
+                           np.array([target]))
+    return result.solutions[0].tolist(), float(result.condition[0]), bool(result.rejected[0])
 
 
 def _project_stack(first: np.ndarray, targets: np.ndarray, block: SharedBlock):

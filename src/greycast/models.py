@@ -39,6 +39,16 @@ sequence, of each design column and of the targets. A ``series.window_view``
 stack's rows are contiguous slices of the series. The parameters come back
 as (N,) arrays, and the closed forms evaluate one (N,) row per time.
 
+A stack of one, the online case, runs on floats instead: its rows are the
+window's w floats (``windows[0].tolist()``) and its parameters are floats.
+The same code makes the same IEEE operations on either feed, as
+``lstsq._project`` does; it branches on the feed only where numpy and float
+idioms differ (a float division by zero raises, a check reads an array at
+once). Exponentials are ``np.exp`` and ``np.expm1`` on both feeds, which
+give a float the bits its array loop gives, where ``math.exp`` does not.
+``forecast_windows`` and ``fitted_windows`` return (1,) and (1, w-1) arrays
+for it, as for any stack.
+
 The per-kind facts live in one table, ``_KINDS``, with one row per kind;
 ``TRIG_KINDS``, ``DEFAULT_OMEGA``, ``EF_NAME`` and ``MIN_WINDOW`` are views
 of it.
@@ -48,6 +58,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, NamedTuple, Optional
@@ -62,7 +73,8 @@ from .errors import (
     InvalidInputError,
     NumericalDegeneracyError,
 )
-from .lstsq import SharedBlock, factor_block, singular_error, solve_shared, solve_stacked
+from .lstsq import (SharedBlock, factor_block, singular_error, solve_floats, solve_shared,
+                    solve_stacked)
 from .series import Series, all_finite
 
 # Below this magnitude the development coefficient is treated as exactly zero
@@ -145,6 +157,7 @@ class Failures:
     Checks are added in the order the one-window code makes them, and a window
     keeps the first error it gets. ``overflows`` holds the windows whose error
     is an overflowing exponential (``math.exp`` raising ``OverflowError``).
+    A stack of one may give a bool for ``where``.
     """
 
     __slots__ = ("failed", "errors", "overflows")
@@ -154,7 +167,7 @@ class Failures:
         self.errors: Dict[int, GreycastError] = {}
         self.overflows: set = set()
 
-    def add(self, where: np.ndarray, error: Callable[[int], GreycastError],
+    def add(self, where, error: Callable[[int], GreycastError],
             overflow: bool = False) -> None:
         """Give ``error(i)`` to each window i in ``where`` that has none yet."""
         if not np.count_nonzero(where):
@@ -192,11 +205,11 @@ class WindowFits(NamedTuple):
     sin(omega t) and ``bc`` cos(omega t) (both damped by e^(-a t) for GM_ESC),
     and ``b`` is the constant forcing; a coefficient the kind lacks is 0. For
     GM11 ``b`` is the grey input and for GVM the Verhulst coefficient, and
-    ``omega`` is None. Each parameter is an (N,) array; those of a window
-    in ``failures`` are not meaningful. ``mean`` is the mean sequence the
-    fit regressed on, window-last: (w-1, N), one row per local time k = 2..w.
-    GM_ESC's second stage reuses it; a stack that was not fitted here has
-    none.
+    ``omega`` is None. Each parameter is an (N,) array, or a float for a
+    stack of one; those of a window in ``failures`` are not meaningful.
+    ``mean`` is the mean sequence the fit regressed on, window-last: (w-1, N),
+    one row per local time k = 2..w, or a list of w-1 floats. GM_ESC's
+    second stage reuses it; a stack that was not fitted here has none.
     """
 
     kind: ModelKind
@@ -211,33 +224,68 @@ class WindowFits(NamedTuple):
     mean: Optional[np.ndarray] = None
 
 
-def _overflow_error(kind: ModelKind, a: np.ndarray) -> Callable[[int], GreycastError]:
+def _rows(windows):
+    """The window-last rows of the (N, w) ``windows``, and N: for a stack of
+    one, its w floats; for any other, the (w, N) transpose, one (N,) row
+    per local time."""
+    x = np.asarray(windows, dtype=float)
+    if len(x) == 1:
+        return x[0].tolist(), 1
+    return x.T, len(x)
+
+
+def _finite(values) -> bool:
+    """Whether every entry is finite: of a float, a list of floats or an array."""
+    if isinstance(values, float):
+        return math.isfinite(values)
+    if isinstance(values, list):
+        return all(map(math.isfinite, values))
+    return all_finite(values)
+
+
+def _nans(a):
+    """NaN for each window of the stack whose ``a`` this is."""
+    return math.nan if isinstance(a, float) else np.full(a.size, np.nan)
+
+
+def _overflow_error(kind: ModelKind, a) -> Callable[[int], GreycastError]:
     return lambda i: NumericalDegeneracyError(
-        f"{kind.value} closed form overflowed (a={float(a[i]):.3g})")
+        f"{kind.value} closed form overflowed (a={float(np.atleast_1d(a)[i]):.3g})")
 
 
-def _overflowed(args: np.ndarray) -> np.ndarray:
-    """Windows (columns) where some e^arg overflows, as ``math.exp(arg)``
-    would raise."""
+def _overflowed(args: list):
+    """Windows where some e^arg of ``args`` (floats, or (N,) rows) overflows,
+    as ``math.exp(arg)`` would raise."""
+    args = np.array(args)
     e = np.exp(args)
     return (np.isinf(e) & np.isfinite(args)).any(axis=0)
 
 
-def _solve(fails: Failures, system: np.ndarray, block: Optional[SharedBlock] = None
-           ) -> np.ndarray:
+def _solve(fails: Failures, system, block: Optional[SharedBlock] = None):
     """Solve each window's system from its window-last (p + 1, m, N) rows:
-    the p design columns, then the targets.
+    the p design columns, then the targets; or, for a stack of one, from
+    lists of m floats, the design without the block's columns.
 
     With ``block``, the design's columns 1..p-1 are the block's C, and
     ``solve_shared`` solves it; otherwise ``solve_stacked``. Both get the
-    (N, m, p) and (N, m) views of the rows. Reports what
-    ``LeastSquaresProblem`` and ``solve_least_squares`` raise for one window;
-    returns the (p, N) parameters. Failed windows stay in the stack, their
-    non-finite entries set to 0 in place: a window keeps its first error and
-    gets the same bits alone or in any stack, so their results are never
-    read. No window reaches it with fewer equations than parameters: every
-    window shorter than its kind's minimum has failed by then.
+    (N, m, p) and (N, m) views of the rows. A stack of one goes to
+    ``solve_floats``, which makes the same operations on floats. Reports
+    what ``LeastSquaresProblem`` and ``solve_least_squares`` raise for one
+    window; returns the (p, N) parameters, or a list of p floats. Failed
+    windows stay in the stack, their non-finite entries set to 0: a window
+    keeps its first error and gets the same bits alone or in any stack, so
+    their results are never read. No window reaches it with fewer equations
+    than parameters: every window shorter than its kind's minimum has
+    failed by then.
     """
+    if isinstance(system[-1][0], float):
+        if not all(map(_finite, system)):
+            fails.add(True, lambda i: InvalidInputError(NON_FINITE_SYSTEM))
+            system = [[v if math.isfinite(v) else 0.0 for v in column] for column in system]
+        solution, condition, rejected = solve_floats(system[:-1], system[-1], block)
+        fails.add(rejected, lambda i: singular_error(condition))
+        return solution
+    system = np.asarray(system)
     p = system.shape[0] - 1
     if not all_finite(system):
         finite = np.isfinite(system)
@@ -263,7 +311,8 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
     e^(-k a) cos(omega k). ``omega`` defaults to ``DEFAULT_OMEGA``.
 
     It works on ``windows.T``, one (N,) row per local time, and hands the
-    solvers (N, m, p) views of its window-last systems.
+    solvers (N, m, p) views of its window-last systems. A stack of one is
+    fitted on its floats, with the same IEEE operations.
 
     Like the other stack functions it reports overflow and invalid values
     through numpy's error state; the errors it cares about are in the
@@ -271,8 +320,8 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
     """
     if kind is ModelKind.GM_ESC:
         return fit_esc_windows(fit_windows(ModelKind.GM11, windows), windows, omega)
-    x = np.asarray(windows, dtype=float).T
-    w, n = x.shape
+    x, n = _rows(windows)
+    w = len(x)
     fails = Failures(n)
     row = _KINDS[kind]
     freq = None
@@ -285,38 +334,47 @@ def fit_windows(kind: ModelKind, windows, omega: Optional[float] = None) -> Wind
     if w < 4:
         fails.add_all(lambda i: InsufficientDataError(f"window of {w} < 4 observations"))
     elif n:
-        low = x.min()
-        if not (low >= 0.0 and all_finite(x)):
-            fails.add(~np.isfinite(x).all(axis=0),
+        low = min(x) if n == 1 else x.min()
+        if not (low >= 0.0 and _finite(x)):
+            columns = np.reshape(x, (w, -1))  # a stack of one as one column
+            fails.add(~np.isfinite(columns).all(axis=0),
                       lambda i: InvalidInputError("window contains non-finite values"))
-            negative = x < 0
+            negative = columns < 0
             fails.add(negative.any(axis=0), lambda i: InvalidInputError(
                 f"negative value at window index {int(np.argmax(negative[:, i]))}"))
     if w < row.min_window:
         fails.add_all(lambda i: InsufficientDataError(
             f"{kind.value} needs a window of at least {row.min_window}"))
     if kind is ModelKind.GVM and low is not None and not low > 0.0:
-        nonpositive = x <= 0
+        nonpositive = np.reshape(x, (w, -1)) <= 0
         fails.add(nonpositive.any(axis=0), lambda i: InvalidInputError(
             "Verhulst fit needs strictly positive values "
             f"(index {int(np.argmax(nonpositive[:, i]))})"))
     if fails.errors and fails.failed.all():
         return _all_failed(kind, n, freq, w, fails)
-    z = _mean_sequence(x.T).T
+    block = _shared_block(kind, w, freq) if row.trig else None
+    z = _mean_sequence(x if n == 1 else x.T)
     # Design columns, then the targets x0(2..w) as the last column.
-    system = np.empty((3 + len(row.trig), w - 1, n))
-    np.negative(z, out=system[0])
-    block = None
-    if kind is ModelKind.GVM:
-        np.multiply(z, z, out=system[1])
-    elif row.trig:
-        block = _shared_block(kind, w, freq)
-        system[1:-1] = block.columns.T[:, :, None]
+    if n == 1:
+        system = [[-v for v in z]]
+        if kind is ModelKind.GVM:
+            system.append([v * v for v in z])
+        elif block is None:
+            system.append([1.0] * (w - 1))
+        system.append(x[1:])
     else:
-        system[1] = 1.0
-    system[-1] = x[1:]
+        z = z.T
+        system = np.empty((3 + len(row.trig), w - 1, n))
+        np.negative(z, out=system[0])
+        if kind is ModelKind.GVM:
+            np.multiply(z, z, out=system[1])
+        elif block is not None:
+            system[1:-1] = block.columns.T[:, :, None]
+        else:
+            system[1] = 1.0
+        system[-1] = x[1:]
     params = _solve(fails, system, block)
-    coef, zero = dict(zip(row.trig, params[1:-1])), np.zeros(n)
+    coef, zero = dict(zip(row.trig, params[1:-1])), 0.0 if n == 1 else np.zeros(n)
     return WindowFits(kind, params[0], params[-1], coef.get(0, zero), coef.get(1, zero),
                       x[0], freq, w, fails, z)
 
@@ -336,13 +394,15 @@ def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = Non
     """GM_ESC on the windows that ``stage_one``, GM(1,1)'s fit, was fitted on.
 
     Stage 2 regresses stage 1's residuals on e^(-k a) sin(omega k) and
-    e^(-k a) cos(omega k), over stage 1's own mean sequence. An ``omega``
-    that is not positive, or for which omega * w overflows, fails every window
-    first; otherwise a window keeps its stage-1 error. ``stage_one`` is left
-    as it is, so one GM(1,1) fit can serve every frequency.
+    e^(-k a) cos(omega k), over stage 1's own mean sequence, one local time
+    k at a time: floats for a stack of one, (N,) rows for any other. An
+    ``omega`` that is not positive, or for which omega * w overflows, fails
+    every window first; otherwise a window keeps its stage-1 error.
+    ``stage_one`` is left as it is, so one GM(1,1) fit can serve every
+    frequency.
     """
-    x = np.asarray(windows, dtype=float).T
-    w, n = x.shape
+    x, n = _rows(windows)
+    w = len(x)
     freq = DEFAULT_OMEGA[ModelKind.GM_ESC] if omega is None else float(omega)
     message = _omega_message(freq, w)
     if message is None:
@@ -353,19 +413,17 @@ def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = Non
     if fails.errors and fails.failed.all():
         return _all_failed(ModelKind.GM_ESC, n, freq, w, fails)
     a, b = stage_one.a, stage_one.b
-    k = _local_times(w)
-    residuals = x[1:] + a * stage_one.mean - b
-    damp = np.exp(-a * k[:, None])
-    if not (damp.min() >= 1e-250 and all_finite(damp)):
-        fails.add(~np.isfinite(damp).all(axis=0) | (np.abs(damp).max(axis=0) < 1e-250),
+    residuals = [xk + a * zk - b for xk, zk in zip(x[1:], stage_one.mean)]
+    damp = [np.exp(-a * k) for k in range(2, w + 1)]
+    if not (_finite(damp) and min(damp) >= 1e-250 if n == 1
+            else all(row.min() >= 1e-250 and all_finite(row) for row in damp)):
+        columns = np.reshape(damp, (w - 1, -1))  # a stack of one as one column
+        fails.add(~np.isfinite(columns).all(axis=0) | (np.abs(columns).max(axis=0) < 1e-250),
                   lambda i: NumericalDegeneracyError(
                       "stage-2 design degenerate: e^(-k a) underflowed or overflowed"))
-    system = np.empty((3,) + damp.shape)
     sin_k, cos_k = _trig_columns(w, freq)
-    np.multiply(damp, sin_k[:, None], out=system[0])
-    np.multiply(damp, cos_k[:, None], out=system[1])
-    system[2] = residuals
-    bs, bc = _solve(fails, system)
+    bs, bc = _solve(fails, [[d * s for d, s in zip(damp, sin_k)],
+                            [d * c for d, c in zip(damp, cos_k)], residuals])
     return WindowFits(ModelKind.GM_ESC, a, b, bs, bc, x[0], freq, w, fails)
 
 
@@ -389,18 +447,22 @@ def _omega_message(freq: float, w: int) -> Optional[str]:
 
 
 def _all_failed(kind: ModelKind, n: int, freq, w: int, fails: Failures) -> WindowFits:
-    nan = np.full(n, np.nan)
+    nan = math.nan if n == 1 else np.full(n, np.nan)
     return WindowFits(kind, nan, nan, nan, nan, nan, freq, w, fails)
 
 
-def _mean_sequence(windows: np.ndarray) -> np.ndarray:
-    """Mean sequence z1(k), k = 2..w, of each window's accumulation, as the
-    (N, w-1) view of the window-last (w-1, N) rows it is computed on: the
-    accumulation runs down ``windows.T``."""
-    x1 = np.add.accumulate(windows.T, axis=0)
-    z = x1[:-1] + x1[1:]
-    z /= 2.0
-    return z.T
+def _mean_sequence(windows):
+    """Mean sequence z1(k), k = 2..w, of each window's accumulation: of one
+    window's floats (a list) as a list, or of (N, w) windows as the
+    (N, w-1) view of the window-last (w-1, N) rows it is computed on. The
+    accumulation runs one local time at a time, left to right."""
+    rows = windows if isinstance(windows, list) else windows.T
+    z, total = [], rows[0]
+    for value in rows[1:]:
+        after = total + value
+        z.append((total + after) / 2.0)
+        total = after
+    return z if isinstance(windows, list) else np.array(z).T
 
 
 @functools.lru_cache(maxsize=None)
@@ -411,27 +473,27 @@ def _local_times(w: int) -> np.ndarray:
     return k
 
 
-# -- closed forms, each written once over arrays -------------------------------
+# -- closed forms, each written once over floats and (N,) rows ----------------
 
-def _trig_part(fits: WindowFits, times: tuple) -> np.ndarray:
+def _trig_part(fits: WindowFits, times: tuple) -> list:
     """q(t), the trigonometric part of the particular solution, of every
-    window (column) at each time t of ``times`` (row): one (N,) row per
-    time. The particular solution is q(t) + b/a."""
-    a, bs, bc, w = fits.a, fits.bs, fits.bc, fits.omega
-    cos_wt = np.array([[math.cos(w * t)] for t in times])
-    sin_wt = np.array([[math.sin(w * t)] for t in times])
+    window at each time t of ``times``: one float or (N,) row per time. The
+    particular solution is q(t) + b/a."""
+    # omega as a numpy float, so that a zero denominator gives inf or nan on
+    # floats, as in an array, where a float division would raise.
+    a, bs, bc, w = fits.a, fits.bs, fits.bc, np.float64(fits.omega)
     if fits.kind is ModelKind.GM_ESC:
         # e^(-a t) (bc sin(w t) - bs cos(w t)) / w
         cos_part, sin_part = bs / -w, bc / w
-        return (np.exp(a * -np.array(times)[:, None])
-                * (cos_part * cos_wt + sin_part * sin_wt))
+        return [np.exp(a * -t) * (cos_part * math.cos(w * t) + sin_part * math.sin(w * t))
+                for t in times]
     # ((a bc - bs w) cos(w t) + (a bs + bc w) sin(w t)) / (a^2 + w^2)
     den = a * a + w * w
     cos_part, sin_part = (a * bc - bs * w) / den, (a * bs + bc * w) / den
-    return cos_part * cos_wt + sin_part * sin_wt
+    return [cos_part * math.cos(w * t) + sin_part * math.sin(w * t) for t in times]
 
 
-def _increment(fits: WindowFits, u: float, s: float) -> np.ndarray:
+def _increment(fits: WindowFits, u: float, s: float):
     """D(u, s) = x1hat(u+s) - x1hat(u), the growth of the accumulated response
     from time u to u + s, of every window of a kind other than GVM.
 
@@ -452,28 +514,31 @@ def _increment(fits: WindowFits, u: float, s: float) -> np.ndarray:
         t = max(1.0, abs(u), abs(u + s))
         if math.isinf(fits.omega * t):
             fits.failures.add_all(lambda i: InvalidInputError(f"{OMEGA_OVERFLOW} at t = {t:g}"))
-            return np.full(a.size, np.nan)
+            return _nans(a)
     x = a * -s
     growth = np.expm1(x)
-    ratio = growth / x
-    if np.count_nonzero(x) < x.size:
-        ratio[x == 0] = 1.0
+    if isinstance(x, float):
+        ratio = growth / x if x else 1.0
+    else:
+        ratio = growth / x
+        if np.count_nonzero(x) < x.size:
+            ratio[x == 0] = 1.0
     if fits.kind is ModelKind.GM11:
         value = np.exp(a * (1.0 - u)) * (x0 * growth + b * s * ratio)
     else:
         q_1, q_end, q_start = _trig_part(fits, (1.0, u + s, u))
         value = (np.exp(a * (1.0 - u)) * ((x0 - q_1) * growth + b * s * ratio)
                  + (q_end - q_start))
-    if not all_finite(value):
+    if not _finite(value):
         exponents = [x, a * (1.0 - u - s)]
         if fits.kind is ModelKind.GM_ESC:
             exponents.append(a * -(u + s))
-        fits.failures.add(~np.isfinite(value) & _overflowed(np.array(exponents)),
+        fits.failures.add(~np.isfinite(value) & _overflowed(exponents),
                           _overflow_error(fits.kind, a), overflow=True)
     return value
 
 
-def _gvm(fits: WindowFits, k: int) -> np.ndarray:
+def _gvm(fits: WindowFits, k: int):
     """Verhulst forecast in its classic product form.
 
     The two denominators b*x0(1) + (a - b*x0(1))*e^(a(k-1)) and the (k-2)
@@ -482,35 +547,51 @@ def _gvm(fits: WindowFits, k: int) -> np.ndarray:
     a, x1, fails = fits.a, fits.x0_1, fits.failures
     bx = fits.b * x1
     a_bx = a - bx
-    args = a * np.array([[k - 1.0], [k - 2.0], [1.0]])
-    e = np.exp(args)  # rows e^(a(k-1)), e^(a(k-2)), e^a
-    d = bx + a_bx * e[:2]
-    value = (a * x1 * a_bx / d[0]) * ((1.0 - e[2]) * e[1] / d[1])
-    if not (all_finite(e) and np.count_nonzero(np.abs(d) > GVM_DENOM_FLOOR) == d.size):
+    args = [a * (k - 1.0), a * (k - 2.0), a]
+    e1, e2, e = map(np.exp, args)  # e^(a(k-1)), e^(a(k-2)), e^a
+    d1, d2 = bx + a_bx * e1, bx + a_bx * e2
+    value = (a * x1 * a_bx / d1) * ((1.0 - e) * e2 / d2)
+    if not (_finite(e1) and _finite(e2) and _finite(e)
+            and _every(abs(d1) > GVM_DENOM_FLOOR) and _every(abs(d2) > GVM_DENOM_FLOOR)):
         # The checks of the one-window code, in its order.
         fails.add(_overflowed(args[:2]), _overflow_error(fits.kind, a), overflow=True)
-        fails.add(np.abs(d[0]) <= GVM_DENOM_FLOOR, lambda i: NumericalDegeneracyError(
+        fails.add(abs(d1) <= GVM_DENOM_FLOOR, lambda i: NumericalDegeneracyError(
             "Verhulst forecast: e^(a(k-1)) denominator vanished"))
-        fails.add(np.abs(d[1]) <= GVM_DENOM_FLOOR, lambda i: NumericalDegeneracyError(
+        fails.add(abs(d2) <= GVM_DENOM_FLOOR, lambda i: NumericalDegeneracyError(
             "Verhulst forecast: e^(a(k-2)) denominator vanished"))
         fails.add(_overflowed(args[2:]), _overflow_error(fits.kind, a), overflow=True)
     return value
 
 
+def _every(mask) -> bool:
+    """Whether a bool, or every entry of a boolean array, holds."""
+    if isinstance(mask, np.ndarray):
+        return np.count_nonzero(mask) == mask.size
+    return bool(mask)
+
+
 def forecast_windows(fits: WindowFits, steps_ahead: int = 1) -> np.ndarray:
-    """``steps_ahead`` forecast past every window, without refitting.
+    """``steps_ahead`` forecast past every window, without refitting, as an
+    (N,) array.
 
     The within-window clock runs k = 1..w, so the first out-of-window value
     lives at local index w + 1. Errors go to ``fits.failures``, and a
     forecast that the closed form's checks let through non-finite is one.
+    A horizon that is not an integer or below 1 fails every window.
     """
-    if steps_ahead < 1:
-        fits.failures.add_all(lambda i: InvalidInputError("steps_ahead must be >= 1"))
-        return np.full(fits.a.size, np.nan)
-    value = _one_step(fits, fits.window_len + steps_ahead - 1)
-    if not all_finite(value):
+    try:
+        steps = operator.index(steps_ahead)
+    except TypeError:
+        message = f"steps_ahead must be an integer, got {steps_ahead!r}"
+    else:
+        message = None if steps >= 1 else "steps_ahead must be >= 1"
+    if message is not None:
+        fits.failures.add_all(lambda i: InvalidInputError(message))
+        return np.full(np.size(fits.a), np.nan)
+    value = _one_step(fits, fits.window_len + steps - 1)
+    if not _finite(value):
         fits.failures.add(~np.isfinite(value), lambda i: InvalidInputError(NON_FINITE_FORECAST))
-    return value
+    return value if isinstance(value, np.ndarray) else np.array([value])
 
 
 def fitted_windows(fits: WindowFits) -> np.ndarray:
@@ -518,7 +599,7 @@ def fitted_windows(fits: WindowFits) -> np.ndarray:
     return np.column_stack([_one_step(fits, k) for k in range(1, fits.window_len)])
 
 
-def _one_step(fits: WindowFits, k: int) -> np.ndarray:
+def _one_step(fits: WindowFits, k: int):
     """x0hat(k+1) of every window: D(k, 1), or GVM's product form."""
     if fits.kind is ModelKind.GVM:
         # The product form is indexed one step early relative to the other
@@ -531,7 +612,8 @@ def _one_step(fits: WindowFits, k: int) -> np.ndarray:
 # -- the one-window case --------------------------------------------------------
 
 def _stack_of_one(fit: GreyFit) -> WindowFits:
-    """A GreyFit as a stack of one window, trig coefficients in GM_SC form.
+    """A GreyFit as a stack of one window, on floats, trig coefficients in
+    GM_SC form.
 
     Raises ``InvalidInputError`` naming the first parameter the kind needs
     that ``fit`` lacks.
@@ -541,8 +623,7 @@ def _stack_of_one(fit: GreyFit) -> WindowFits:
     for name in needed:
         if name and getattr(fit, name) is None:
             raise InvalidInputError(f"{fit.kind.value} fit has no {name}")
-    a, b, bs, bc, x0 = (np.array([float(getattr(fit, name)) if name else 0.0])
-                        for name in needed[:-1])
+    a, b, bs, bc, x0 = (float(getattr(fit, name)) if name else 0.0 for name in needed[:-1])
     return WindowFits(fit.kind, a, b, bs, bc, x0, fit.omega, fit.window_len, Failures(1))
 
 
@@ -553,7 +634,7 @@ def _integration_constant(fits: WindowFits) -> Optional[float]:
     homogeneous/particular split has a b/a pole, and where e^a or the
     particular solution overflows.
     """
-    a = float(fits.a[0])
+    a = float(fits.a)
     if abs(a) <= DEGENERATE_A:
         return None
     try:
@@ -562,8 +643,8 @@ def _integration_constant(fits: WindowFits) -> Optional[float]:
             math.exp(-a)
     except OverflowError:
         return None
-    q1 = float(_trig_part(fits, (1.0,))[0, 0])
-    return scale * (float(fits.x0_1[0]) - q1 - float(fits.b[0]) / a)
+    q1 = float(_trig_part(fits, (1.0,))[0])
+    return scale * (float(fits.x0_1) - q1 - float(fits.b) / a)
 
 
 def fit_model(kind: ModelKind, window, omega: Optional[float] = None) -> GreyFit:
@@ -575,10 +656,10 @@ def fit_model(kind: ModelKind, window, omega: Optional[float] = None) -> GreyFit
         fits = fit_windows(kind, values[None], omega)
     fits.failures.raise_first()
     row = _KINDS[kind]
-    fields = dict(a=float(fits.a[0]), x0_1=float(fits.x0_1[0]), window_len=fits.window_len)
+    fields = dict(a=float(fits.a), x0_1=float(fits.x0_1), window_len=fits.window_len)
     for name, value in zip(row.fields, (fits.b, fits.bs, fits.bc)):
         if name:
-            fields[name] = float(value[0])
+            fields[name] = float(value)
     if row.omega is not None:
         fields["omega"] = fits.omega
     if row.has_K:
@@ -619,7 +700,7 @@ def _one_window(fit: GreyFit, evaluate, overflow_error: bool = True):
     with np.errstate(all="ignore"):
         value = evaluate(fits)
     fits.failures.raise_first(overflow_error)
-    return value[0]
+    return value
 
 
 def forecast_gm11(fit: GreyFit, k: int) -> float:
@@ -649,11 +730,12 @@ def forecast_trig(fit: GreyFit, k: int) -> float:
 def forecast(fit: GreyFit, steps_ahead: int = 1) -> float:
     """Forecast ``steps_ahead`` past the fitted window, without refitting.
 
-    Raises what a roll flags the step with, "non-finite forecast" included."""
+    Raises what a roll flags the step with, "non-finite forecast" and a
+    horizon that is not an integer included."""
     return float(_one_window(fit, lambda fits: forecast_windows(fits, steps_ahead),
-                             overflow_error=False))
+                             overflow_error=False)[0])
 
 
 def fitted_values(fit: GreyFit) -> np.ndarray:
     """In-window one-step fitted values for local indices k = 2..w."""
-    return _one_window(fit, fitted_windows)
+    return _one_window(fit, fitted_windows)[0]

@@ -24,7 +24,7 @@ def test_esc_stage_two_fails_when_its_damping_under_or_overflows(a):
     with np.errstate(all="ignore"):
         stage_one = fit_windows(ModelKind.GM11, windows)
         assert not stage_one.failures.errors
-        fits = fit_esc_windows(stage_one._replace(a=np.array([a])), windows, 74.1)
+        fits = fit_esc_windows(stage_one._replace(a=a), windows, 74.1)
     error = fits.failures.errors[0]
     assert isinstance(error, NumericalDegeneracyError)
     assert str(error) == "stage-2 design degenerate: e^(-k a) underflowed or overflowed"

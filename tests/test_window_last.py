@@ -126,10 +126,11 @@ def one_window(kind, window, omega):
 
 
 def in_stack(fits, i, forecasts, fitted):
-    """The same for window i of ``fits``, from the stack's arrays and errors."""
+    """The same for window i of ``fits``, from the stack's arrays and errors
+    (a stack of one holds its parameters as floats)."""
     if i in fits.failures.errors:
         return ("fit", error(fits.failures.errors[i]))
-    out = [hexes([fits.a[i], fits.b[i], fits.bs[i], fits.bc[i]])]
+    out = [hexes([np.atleast_1d(v)[i] for v in (fits.a, fits.b, fits.bs, fits.bc)])]
     for failures, values in forecasts:
         out.append(error(failures.errors[i]) if i in failures.errors
                    else float(values[i]).hex())
@@ -154,10 +155,18 @@ def evaluate(fits):
     return forecasts, fitted
 
 
-@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
-def test_every_window_of_a_stack_equals_its_one_window_calls(kind):
+# Each kind at its default frequency, then GM_C at 0.05, where the windows
+# lie above the kappa_F gate and both feeds solve them by LAPACK, and GM_ESC
+# at a frequency other than its default.
+CASES = [(kind, models.DEFAULT_OMEGA.get(kind)) for kind in ModelKind] + [
+    (ModelKind.GM_C, 0.05), (ModelKind.GM_ESC, 1.3)]
+
+
+@pytest.mark.parametrize("kind, omega", CASES, ids=[
+    kind.value if omega == models.DEFAULT_OMEGA.get(kind) else f"{kind.value}-{omega}"
+    for kind, omega in CASES])
+def test_every_window_of_a_stack_equals_its_one_window_calls(kind, omega):
     w = models.MIN_WINDOW[kind]
-    omega = models.DEFAULT_OMEGA.get(kind)
     checked = set()
     for n, stack in stacks(w):
         with np.errstate(all="ignore"):
@@ -168,6 +177,20 @@ def test_every_window_of_a_stack_equals_its_one_window_calls(kind):
             assert got == one_window(kind, np.array(stack[i]), omega), (n, i, stack[i])
             checked.add(got[0] == "fit")
     assert checked == {True, False}  # both fitted and failed windows were seen
+
+
+def test_gm_c_windows_at_omega_005_lie_above_the_gate():
+    """The GM_C case at omega = 0.05 reaches LAPACK: its block has factors,
+    but nearly every window of the series fails the kappa_F gate (those
+    that pass start with a run of zeros or subnormals)."""
+    stack = window_view(SERIES, 4, BATCH_WINDOWS)
+    block = models._shared_block(ModelKind.GM_C, 4, 0.05)
+    x = np.array(stack[np.isfinite(stack).all(axis=1) & (stack >= 0).all(axis=1)])
+    with np.errstate(all="ignore"):
+        _, bound = lstsq._project_stack(-models._mean_sequence(x), x[:, 1:], block)
+    passed = np.count_nonzero(bound <= lstsq.SHARED_CONDITION_LIMIT ** 2)
+    assert block.basis is not None
+    assert 0 < passed < bound.size / 10
 
 
 def test_the_stacks_reach_the_edges():
@@ -207,14 +230,14 @@ def test_esc_stage_two_damping_that_underflows_fails_alike(n):
     stack = window_view(50.0 + 10.0 * np.sin(0.7 * k) + np.cos(2.3 * k), 4, n)
     with np.errstate(all="ignore"):
         stage_one = fit_windows(ModelKind.GM11, stack)
-        a = stage_one.a.copy()
+        a = np.atleast_1d(stage_one.a).copy()
         a[::3] = 300.0
         a[1::3] = -300.0
-        stage_one = stage_one._replace(a=a)
+        stage_one = stage_one._replace(a=a if n > 1 else float(a[0]))
         fits = fit_esc_windows(stage_one, stack, 74.1)
         forecasts, fitted = evaluate(fits)
         for i in range(n):
-            one = fit_windows(ModelKind.GM11, stack[i:i + 1])._replace(a=a[i:i + 1])
+            one = fit_windows(ModelKind.GM11, stack[i:i + 1])._replace(a=float(a[i]))
             alone = fit_esc_windows(one, stack[i:i + 1], 74.1)
             alone_forecasts, alone_fitted = evaluate(alone)
             assert (in_stack(fits, i, forecasts, fitted)
