@@ -126,6 +126,7 @@ def ingest_csv(path: str, interval: Optional[float] = None) -> Dataset:
                             f"line {line_no}: timestamp {raw.strip()!r} "
                             f"{'lacks' if aware else 'has'} a UTC offset, unlike the first one")
                     aware = stamp.tzinfo is not None
+                day = "" if is_index else stamp.date().isoformat()
             try:
                 value = float(row[1])
             except ValueError:
@@ -136,7 +137,6 @@ def ingest_csv(path: str, interval: Optional[float] = None) -> Dataset:
             if value < 0:
                 negatives.append(line_no)
             location = row[2].strip() if len(row) > 2 else ""
-            day = "" if is_index else stamp.date().isoformat()
             groups.setdefault((day, location), []).append((stamp, value))
     if negatives:
         shown = ", ".join(str(n) for n in negatives[:10])

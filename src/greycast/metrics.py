@@ -27,8 +27,14 @@ def rmse(predicted: Sequence[float], observed: Sequence[float]) -> float:
     """Root mean squared error."""
     p, o = _paired(predicted, observed)
     with np.errstate(over="ignore"):  # a huge but finite miss gives inf, silently
-        err = p - o
-        return float(math.sqrt(np.mean(err * err)))
+        return _rmse_of_misses(p - o)
+
+
+def _rmse_of_misses(misses: np.ndarray) -> float:
+    """``rmse``'s value from the misses predicted - observed of finite,
+    paired arrays, which it does not check; overflow warnings are the
+    caller's to silence."""
+    return float(math.sqrt(np.mean(misses * misses)))
 
 
 class MapeResult(NamedTuple):
@@ -44,15 +50,21 @@ def mape(predicted: Sequence[float], observed: Sequence[float]) -> MapeResult:
     full exclusion count.
     """
     p, o = _paired(predicted, observed)
-    keep = np.abs(o) >= MAPE_ZERO_GUARD
-    excluded = o.size - int(np.count_nonzero(keep))
-    if excluded == o.size:
+    with np.errstate(over="ignore"):  # a huge but finite miss gives inf, silently
+        return _mape_of_misses(p - o, o)
+
+
+def _mape_of_misses(misses: np.ndarray, observed: np.ndarray) -> MapeResult:
+    """``mape``'s result from the misses predicted - observed and the
+    observations of finite, paired arrays, which it does not check;
+    overflow warnings are the caller's to silence."""
+    keep = np.abs(observed) >= MAPE_ZERO_GUARD
+    excluded = observed.size - int(np.count_nonzero(keep))
+    if excluded == observed.size:
         return MapeResult(0.0, excluded)
     if excluded:
-        p, o = p[keep], o[keep]
-    with np.errstate(over="ignore"):  # a huge but finite miss gives inf, silently
-        value = float(np.mean(np.abs((p - o) / o)) * 100.0)
-    return MapeResult(value, excluded)
+        misses, observed = misses[keep], observed[keep]
+    return MapeResult(float(np.mean(np.abs(misses / observed)) * 100.0), excluded)
 
 
 def improvement(reference: float, candidate: float) -> float:

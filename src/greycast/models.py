@@ -157,7 +157,8 @@ class Failures:
     Checks are added in the order the one-window code makes them, and a window
     keeps the first error it gets. ``overflows`` holds the windows whose error
     is an overflowing exponential (``math.exp`` raising ``OverflowError``).
-    A stack of one may give a bool for ``where``.
+    A stack of one may give a bool for ``where``: its passing checks give
+    ``False``, which is let through before any numpy call.
     """
 
     __slots__ = ("failed", "errors", "overflows")
@@ -170,7 +171,7 @@ class Failures:
     def add(self, where, error: Callable[[int], GreycastError],
             overflow: bool = False) -> None:
         """Give ``error(i)`` to each window i in ``where`` that has none yet."""
-        if not np.count_nonzero(where):
+        if where is False or not np.count_nonzero(where):
             return
         new = where & ~self.failed
         for i in np.flatnonzero(new).tolist():
@@ -183,10 +184,10 @@ class Failures:
         self.add(np.ones(self.failed.size, dtype=bool), error)
 
     def copy(self) -> "Failures":
-        other = Failures(0)
+        other = Failures.__new__(Failures)
         other.failed = self.failed.copy()
-        other.errors = dict(self.errors)
-        other.overflows = set(self.overflows)
+        other.errors = self.errors.copy()
+        other.overflows = self.overflows.copy()
         return other
 
     def raise_first(self, overflow_error: bool = False) -> None:
@@ -279,7 +280,10 @@ def _solve(fails: Failures, system, block: Optional[SharedBlock] = None):
     failed by then.
     """
     if isinstance(system[-1][0], float):
-        if not all(map(_finite, system)):
+        # A finite total has finite terms: a nan or an infinity in any term
+        # leaves the sum nan or infinite. Only a total that is not finite,
+        # through one of those or an overflow, needs the entries read.
+        if not math.isfinite(sum(map(sum, system))) and not all(map(_finite, system)):
             fails.add(True, lambda i: InvalidInputError(NON_FINITE_SYSTEM))
             system = [[v if math.isfinite(v) else 0.0 for v in column] for column in system]
         solution, condition, rejected = solve_floats(system[:-1], system[-1], block)
@@ -415,13 +419,16 @@ def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = Non
     a, b = stage_one.a, stage_one.b
     residuals = [xk + a * zk - b for xk, zk in zip(x[1:], stage_one.mean)]
     damp = [np.exp(-a * k) for k in range(2, w + 1)]
+    trig = _trig_columns(w, freq)
+    if n == 1:
+        trig = trig.tolist()  # products of floats, faster than of numpy scalars
     if not (_finite(damp) and min(damp) >= 1e-250 if n == 1
             else all(row.min() >= 1e-250 and all_finite(row) for row in damp)):
         columns = np.reshape(damp, (w - 1, -1))  # a stack of one as one column
         fails.add(~np.isfinite(columns).all(axis=0) | (np.abs(columns).max(axis=0) < 1e-250),
                   lambda i: NumericalDegeneracyError(
                       "stage-2 design degenerate: e^(-k a) underflowed or overflowed"))
-    sin_k, cos_k = _trig_columns(w, freq)
+    sin_k, cos_k = trig
     bs, bc = _solve(fails, [[d * s for d, s in zip(damp, sin_k)],
                             [d * c for d, c in zip(damp, cos_k)], residuals])
     return WindowFits(ModelKind.GM_ESC, a, b, bs, bc, x[0], freq, w, fails)
@@ -482,14 +489,21 @@ def _trig_part(fits: WindowFits, times: tuple) -> list:
     # omega as a numpy float, so that a zero denominator gives inf or nan on
     # floats, as in an array, where a float division would raise.
     a, bs, bc, w = fits.a, fits.bs, fits.bc, np.float64(fits.omega)
-    if fits.kind is ModelKind.GM_ESC:
+    esc = fits.kind is ModelKind.GM_ESC
+    if esc:
         # e^(-a t) (bc sin(w t) - bs cos(w t)) / w
         cos_part, sin_part = bs / -w, bc / w
+    else:
+        # ((a bc - bs w) cos(w t) + (a bs + bc w) sin(w t)) / (a^2 + w^2)
+        den = a * a + w * w
+        cos_part, sin_part = (a * bc - bs * w) / den, (a * bs + bc * w) / den
+    if isinstance(a, float):
+        # Past the divisions, floats make the same operations faster than
+        # numpy scalars do.
+        cos_part, sin_part, w = float(cos_part), float(sin_part), fits.omega
+    if esc:
         return [np.exp(a * -t) * (cos_part * math.cos(w * t) + sin_part * math.sin(w * t))
                 for t in times]
-    # ((a bc - bs w) cos(w t) + (a bs + bc w) sin(w t)) / (a^2 + w^2)
-    den = a * a + w * w
-    cos_part, sin_part = (a * bc - bs * w) / den, (a * bs + bc * w) / den
     return [cos_part * math.cos(w * t) + sin_part * math.sin(w * t) for t in times]
 
 
@@ -570,6 +584,14 @@ def _every(mask) -> bool:
     return bool(mask)
 
 
+def _whole_number(value) -> int:
+    """``operator.index(value)``, which also raises ``TypeError`` for a bool:
+    Python counts ``True`` as 1, but a bool given for a count is a mistake."""
+    if isinstance(value, bool):
+        raise TypeError(f"a bool is not a count: {value!r}")
+    return operator.index(value)
+
+
 def forecast_windows(fits: WindowFits, steps_ahead: int = 1) -> np.ndarray:
     """``steps_ahead`` forecast past every window, without refitting, as an
     (N,) array.
@@ -580,7 +602,7 @@ def forecast_windows(fits: WindowFits, steps_ahead: int = 1) -> np.ndarray:
     A horizon that is not an integer or below 1 fails every window.
     """
     try:
-        steps = operator.index(steps_ahead)
+        steps = _whole_number(steps_ahead)
     except TypeError:
         message = f"steps_ahead must be an integer, got {steps_ahead!r}"
     else:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import GreycastError, InvalidInputError
-from .metrics import improvement, mape, rmse
+from .metrics import _mape_of_misses, _rmse_of_misses, improvement
 from .rolling import (
     ALL_MODEL_NAMES,
     ForecastTrace,
@@ -116,19 +116,23 @@ def compare(dataset: Dataset, models: Sequence[str] = ALL_MODEL_NAMES,
 
 def _row(model: str, traces: List[ForecastTrace], failure: Optional[str],
          series_count: int) -> ModelRow:
-    """One model's row from its trace per series."""
+    """One model's row from its trace per series: each trace's RMSE and MAPE
+    from one array of misses. A roll's columns are finite, paired arrays, so
+    the metrics' input checks are not made again."""
     if failure is not None:
         return ModelRow(model, math.nan, math.nan, 0, math.nan, series_count,
                         failed=True, message=failure)
     per_rmse: List[float] = []
     per_mape: List[float] = []
     excluded = 0
-    for trace in traces:
-        predicted, observed = trace.predicted_values, trace.observed_values
-        per_rmse.append(rmse(predicted, observed))
-        result = mape(predicted, observed)
-        per_mape.append(result.value)
-        excluded += result.excluded
+    with np.errstate(over="ignore"):  # a huge but finite miss gives inf, silently
+        for trace in traces:
+            observed = trace.observed_values
+            misses = trace.predicted_values - observed
+            per_rmse.append(_rmse_of_misses(misses))
+            result = _mape_of_misses(misses, observed)
+            per_mape.append(result.value)
+            excluded += result.excluded
     return ModelRow(
         model=model,
         rmse=float(np.mean(sorted(per_rmse))),

@@ -50,9 +50,7 @@ history per arrival, where a roll's fixed cost is most of its cost.
 """
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -87,6 +85,7 @@ from .models import (
     fit_windows,
     fitted_windows,
     forecast_windows,
+    _whole_number,
 )
 from .series import Series, all_finite, ordered_dot, window_view
 
@@ -138,7 +137,7 @@ class RollingConfig:
             value = getattr(self, name)
             if value is not None or name != "ef_harmonics":
                 try:
-                    operator.index(value)
+                    _whole_number(value)
                 except TypeError:
                     raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
         for name in ("ef_in_window", "clamp_nonnegative", "standard_psi"):
@@ -164,6 +163,26 @@ class RollingConfig:
         return self._effective_window
 
 
+class _kept:
+    """A read-only attribute computed on its first read and then kept in the
+    instance's ``__dict__``, which later reads find before this descriptor:
+    ``functools.cached_property`` without the lock that Python 3.10 and 3.11
+    take on every first read."""
+
+    def __init__(self, compute, name: Optional[str] = None):
+        self.compute, self.name = compute, name
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class ForecastTrace:
     """Per-step record of one rolling run over one series, held as columns.
@@ -174,9 +193,11 @@ class ForecastTrace:
     read-only. The constructor copies a column its caller can still write
     to; ``roll_forecast`` hands over the read-only arrays it made, which
     need no copy. ``predictions`` and ``fallbacks`` are the same steps as
-    tuples, built on first read and then kept (``functools.cached_property``;
-    Python 3.10 and 3.11 take a lock on the first read, later versions none,
-    and threads that read a fresh trace at once all get equal tuples).
+    tuples, built on first read and then kept in the instance's ``__dict__``
+    (``_kept``, which takes no lock: threads that read a fresh trace at once
+    may each build the tuples, and they build equal ones). A roll's trace
+    builds its ``errors`` field the same way, from the flags and the roll's
+    {step: message}.
 
     Two traces are equal when everything but their timings is. A trace holds
     arrays, so it is unhashable.
@@ -217,27 +238,38 @@ class ForecastTrace:
     def _unchecked(cls, model: str, start_index: int, predicted_values: np.ndarray,
                    observed_values: np.ndarray, fallback_flags: np.ndarray,
                    residuals: ResidualSeries, per_step_time: Tuple[float, ...],
-                   errors: Tuple[Tuple[int, str], ...]) -> "ForecastTrace":
+                   messages: Dict[int, str]) -> "ForecastTrace":
         """The trace of columns that are already read-only arrays of the
-        right dtype, kept as they are: the constructor without its checks."""
+        right dtype, kept as they are: the constructor without its checks.
+        ``messages`` holds the message of every step that fell back, by
+        step; ``errors`` is built from it on its first read."""
         trace = object.__new__(cls)
         trace.__dict__.update(
             model=model, start_index=start_index, predicted_values=predicted_values,
             observed_values=observed_values, fallback_flags=fallback_flags,
-            residuals=residuals, per_step_time=per_step_time, errors=errors)
+            residuals=residuals, per_step_time=per_step_time, _messages=messages)
         return trace
 
-    @functools.cached_property
+    @_kept
     def predictions(self) -> Tuple[Tuple[int, float, float], ...]:
         """(index, predicted, observed) per step."""
         first = self.start_index
         return tuple(zip(range(first, first + self.predicted_values.size),
                          self.predicted_values.tolist(), self.observed_values.tolist()))
 
-    @functools.cached_property
+    @_kept
     def fallbacks(self) -> Tuple[bool, ...]:
         """Whether each step fell back to persistence."""
         return tuple(self.fallback_flags.tolist())
+
+    def _errors(self) -> Tuple[Tuple[int, str], ...]:
+        """(index, message) of each step that fell back, in step order."""
+        messages = self._messages
+        if not messages:
+            return ()
+        steps = np.flatnonzero(self.fallback_flags)
+        return tuple(zip((steps + self.start_index).tolist(),
+                         map(messages.__getitem__, steps.tolist())))
 
     def predicted(self) -> np.ndarray:
         return self.predicted_values.copy()
@@ -248,6 +280,11 @@ class ForecastTrace:
     @property
     def fallback_count(self) -> int:
         return int(np.count_nonzero(self.fallback_flags))
+
+
+# ``errors`` is a field, given to the constructor like the others; only a
+# roll's trace, which has none in its ``__dict__``, reads this descriptor.
+ForecastTrace.errors = _kept(ForecastTrace._errors, "errors")
 
 
 def _harmonic_cap(config: RollingConfig, residual_count: int) -> int:
@@ -332,16 +369,15 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
             predicted[steps] += corrections
             failed[list(ef_errors)] = True
             messages.update(ef_errors)
-        fallback = values[w - 1:-1]  # persistence
         if config.clamp_nonnegative:
-            predicted, fallback = _clamped(predicted), _clamped(fallback)
+            predicted = _clamped(predicted)
         if messages:
-            predicted = np.where(failed, fallback, predicted)
+            predicted = np.where(failed, _persistence(values, w, config), predicted)
         misses = observed - predicted
         if not all_finite(misses):
             # Some forecast misses by more than the float range: persistence.
             missed = ~np.isfinite(misses)
-            predicted = np.where(missed, fallback, predicted)
+            predicted = np.where(missed, _persistence(values, w, config), predicted)
             misses = observed - predicted
             if not all_finite(misses):
                 i = w + int(np.argmin(np.isfinite(misses)))
@@ -349,16 +385,12 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
                                         "more than the float range")
             failed |= missed
             messages.update(dict.fromkeys(np.flatnonzero(missed).tolist(), RESIDUAL_OVERFLOW))
-    errors = ()
-    if messages:
-        steps = np.flatnonzero(failed)
-        errors = tuple(zip((steps + (w + 1)).tolist(), map(messages.__getitem__, steps.tolist())))
     for column in (predicted, failed, misses):  # the trace keeps them as they are
         column.setflags(write=False)
     share = (time.perf_counter() - start + _borrowed() - borrowed) / count
     return ForecastTrace._unchecked(config.model, w + 1, predicted, observed, failed,
                                     ResidualSeries._unchecked(misses, w + 1),
-                                    (share,) * count, errors)
+                                    (share,) * count, messages)
 
 
 #: The message of a step whose forecast misses its observation by more than
@@ -368,6 +400,13 @@ RESIDUAL_OVERFLOW = "forecast misses the observation by more than the float rang
 
 def _clamped(forecasts: np.ndarray) -> np.ndarray:
     return np.where(forecasts < 0.0, 0.0, forecasts)
+
+
+def _persistence(values: np.ndarray, w: int, config: RollingConfig) -> np.ndarray:
+    """Every step's fallback, the observation before its target, clamped as
+    the forecasts are; read only where a step falls back."""
+    fallback = values[w - 1:-1]
+    return _clamped(fallback) if config.clamp_nonnegative else fallback
 
 
 #: Windows per stacked solve. It bounds a roll's stacked arrays at about 1 MB

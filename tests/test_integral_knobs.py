@@ -14,6 +14,13 @@ from greycast.rolling import RollingConfig
     ("ef_harmonics", 1.5),
     ("multi_step", 2.5),
     ("multi_step", "3"),
+    # Python counts a bool as an integer; no knob means one.
+    ("window", True),
+    ("ef_residual_window", True),
+    ("ef_harmonics", False),
+    ("ef_harmonics", True),
+    ("multi_step", True),
+    ("multi_step", np.True_),
 ])
 def test_non_integral_knob_is_refused(knob, value):
     with pytest.raises(InvalidInputError, match=f"{knob} must be an integer"):

@@ -16,7 +16,8 @@ from greycast.models import ModelKind, fit_model, fit_windows, forecast, forecas
 from greycast.series import window_view
 
 WINDOW = [50.0, 51.0, 52.5, 53.0]
-NOT_INTEGERS = [2.5, 2.0, math.inf, math.nan, "2", None, np.float64(3.0)]
+NOT_INTEGERS = [2.5, 2.0, math.inf, math.nan, "2", None, np.float64(3.0), True, False,
+                np.True_]
 
 
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
