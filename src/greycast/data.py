@@ -216,10 +216,16 @@ def augment_stuck_values(series: Series, sigma: float = 0.01,
     return Series(values, interval=series.interval, label=series.label)
 
 
+#: The most points ``synth`` generates, about 80 MB of values; it refuses a
+#: longer series before building any of it.
+MAX_SYNTH_POINTS = 10_000_000
+
+
 def _number(key: str, raw):
     """A synthetic parameter as a finite float, or a whole count or position
     (n, start, recover, ramp) as an int; else ``InvalidInputError``. A count
-    (n, ramp) below 1 and a negative ``sigma`` are refused too."""
+    (n, ramp) below 1, an n above ``MAX_SYNTH_POINTS`` and a negative
+    ``sigma`` are refused too."""
     whole = key in ("n", "start", "recover", "ramp")
     try:
         value = float(raw)
@@ -230,6 +236,8 @@ def _number(key: str, raw):
             f"parameter {key} must be a {'whole' if whole else 'finite'} number, got {raw!r}")
     if key in ("n", "ramp") and value < 1:
         raise InvalidInputError(f"parameter {key} must be at least 1, got {raw!r}")
+    if key == "n" and value > MAX_SYNTH_POINTS:
+        raise InvalidInputError(f"parameter n must be at most {MAX_SYNTH_POINTS}, got {raw!r}")
     if key == "sigma" and value < 0:
         raise InvalidInputError(f"parameter sigma must not be negative, got {raw!r}")
     return int(value) if whole else value
@@ -288,8 +296,13 @@ def _incident(params: dict, rng) -> np.ndarray:
     n = int(params.get("n", max(288, recover + 30)))
     ramp = int(params.get("ramp", 2))
     sigma = float(params.get("sigma", 0.0))
+    if n > MAX_SYNTH_POINTS:  # the default n, which follows recover
+        raise InvalidInputError(
+            f"incident's default n = recover + 30 = {n} is above {MAX_SYNTH_POINTS}; give n")
     if not (1 <= start < recover <= n):
         raise InvalidInputError("incident needs 1 <= start < recover <= n")
+    if ramp > n:
+        raise InvalidInputError(f"parameter ramp must be at most n = {n}, got {ramp}")
     values = np.full(n, base)
     low = base - drop
     for j in range(ramp):  # sharp down-ramp at the change point
@@ -319,8 +332,8 @@ def generate_synthetic(name: str, seed: Optional[int] = None,
                        interval: float = 60.0, **params) -> Series:
     """Deterministic synthetic series; parameters are recorded in the label.
     Each must be one the generator reads and a finite number, a count or
-    position a whole one, a count (n, ramp) at least 1 and sigma not
-    negative."""
+    position a whole one, a count (n, ramp) at least 1, n at most
+    ``MAX_SYNTH_POINTS`` and sigma not negative."""
     key = name.strip().lower()
     if key not in _GENERATORS:
         raise InvalidInputError(

@@ -10,18 +10,15 @@ returning noise.
 
 - Two-column systems (GM(1,1), Grey Verhulst and GM_ESC's second stage) are
   orthogonalised by a one-sided Jacobi SVD (Hestenes, *J. SIAM* 6(1), 1958)
-  written over the whole stack, or, for a stack of fewer than
-  ``MIN_JACOBI_STACK``, system by system by a scalar twin that makes the same
-  IEEE operations in the same order. One-sided Jacobi is at least as accurate
-  as QR-based SVD (Demmel & Veselic, *SIAM J. Matrix Anal. Appl.* 13(4),
-  1992); measured against a 60-digit reference, its errors are below LAPACK's
-  (see ``solve_stacked``).
+  written over the whole stack, whatever its size. One-sided Jacobi is at
+  least as accurate as QR-based SVD (Demmel & Veselic, *SIAM J. Matrix
+  Anal. Appl.* 13(4), 1992); measured against a 60-digit reference, its
+  errors are below LAPACK's (see ``solve_stacked``).
 - GM_S, GM_C and GM_SC designs [-z, T, 1] share every column but the first
   across the windows of a roll. ``solve_shared`` factors that block once and
   solves each window by projecting it out (Bjorck, *Numerical Methods for
-  Least Squares Problems*, SIAM 1996), with no iteration. One kernel,
-  ``_project``, runs on one window's floats or on a stack's columns with the
-  same operations. A window takes this path only if its Frobenius
+  Least Squares Problems*, SIAM 1996), with no iteration, on the stack's
+  columns, whatever its size. A window takes this path only if its Frobenius
   condition bound kappa_F = ||B||_F ||B+||_F, which lies between kappa_2 and
   p kappa_2, is at most ``SHARED_CONDITION_LIMIT`` = 1e4. Below that any two
   backward-stable solves agree to about eps * 1e4 = 2e-12 per parameter, so
@@ -33,10 +30,10 @@ returning noise.
   matmul applies one routine to every matrix of a stack. That leaves the EF
   Fourier designs and the ill-conditioned trigonometric windows.
 
-Every path solves a system to the same bits alone or inside any stack.
-``solve_floats`` solves one system given as floats, the one-window fits of
-``models``, by the scalar kernels ``_jacobi_one`` and ``_project``, and only
-a trigonometric window above the kappa_F gate as an array.
+Every path solves a system to the same bits alone or inside any stack, a
+stack of one included. Only ``solve_floats``, for the one-window fits of
+``models``, reads a system as floats: its scalar twins ``_jacobi_one`` and
+``_project`` make the kernels' IEEE operations in order.
 
 The stacks keep the (N, m, p) and (N, m) signatures, but the solvers read
 them window-last, through ``.T``: (p, m, N) design columns and (m, N)
@@ -62,16 +59,6 @@ _EPS = float(np.finfo(float).eps)
 #: A window of ``solve_shared`` whose Frobenius condition bound is at most
 #: this takes the projection; any other takes ``solve_stacked``.
 SHARED_CONDITION_LIMIT = 1e4
-
-#: The smallest stacks solved as a whole; a smaller stack is solved one
-#: system at a time on floats, which costs less than a stack's fixed cost.
-#: Measured on a 2-vCPU Xeon VM with window-last stacks (interleaved, min of
-#: 15 x 200 calls): the two-column Jacobi stack costs about as much as 12 to
-#: 13 systems of ``_jacobi_one`` (GM11, GVM) or 10 to 11 (GM_ESC's second
-#: stage), and ``_project`` on columns about as much as 5 to 6 windows
-#: (GM_S, GM_C) or 6 to 7 (GM_SC) on floats.
-MIN_JACOBI_STACK = 12
-MIN_PROJECTION_STACK = 6
 
 
 @dataclass(frozen=True)
@@ -110,8 +97,7 @@ def solve_stacked(designs: np.ndarray, targets: np.ndarray) -> StackedSolution:
     largest) is below p or its condition estimate exceeds ``CONDITION_LIMIT``.
 
     Two-column systems take the one-sided Jacobi SVD of ``_jacobi_stack``,
-    or its scalar twin ``_jacobi_one`` system by system for a stack of fewer
-    than ``MIN_JACOBI_STACK``; every other shape takes ``np.linalg.svd``.
+    a stack of one included; every other shape takes ``np.linalg.svd``.
     ``solve_shared`` sends GM_S, GM_C and GM_SC windows here only when their
     Frobenius condition bound exceeds ``SHARED_CONDITION_LIMIT``; a window it
     solves itself reports that bound, within p times the 2-norm condition,
@@ -131,16 +117,6 @@ def solve_stacked(designs: np.ndarray, targets: np.ndarray) -> StackedSolution:
     """
     n, m, p = designs.shape
     targets = np.asarray(targets, dtype=float)
-    if p == 2 and 0 < n < MIN_JACOBI_STACK:
-        # Each system's two design columns and its target columns, as lists.
-        columns = (targets.transpose(0, 2, 1) if targets.ndim == 3 else targets[:, None])
-        size = max(m, p)
-        solutions, condition, rejected = zip(*[
-            _solve_one(col0, col1, rhs, size) for (col0, col1), rhs
-            in zip(designs.transpose(0, 2, 1).tolist(), columns.tolist())])
-        solutions = np.array(solutions)  # (N, k, 2)
-        return StackedSolution(solutions.transpose(0, 2, 1) if targets.ndim == 3
-                               else solutions[:, 0], np.array(condition), np.array(rejected))
     if p == 2:
         with np.errstate(all="ignore"):  # rejected systems may not be finite
             solutions, smax, smin = _jacobi_stack(designs.T, targets.T)
@@ -222,9 +198,8 @@ def solve_shared(designs: np.ndarray, targets: np.ndarray,
     condition; far below ``CONDITION_LIMIT``, it is never rejected. Every
     other window, and every window of a block without factors, goes to
     ``solve_stacked``: the same bits, condition and rejection as without
-    the block. ``_project`` computes all this on each window's floats in a
-    stack of fewer than ``MIN_PROJECTION_STACK``, else on the stack's (N,)
-    columns, the rows of ``designs[:, :, 0].T`` and ``targets.T``. Its sums
+    the block. ``_project`` computes all this on the stack's (N,) columns,
+    the rows of ``designs[:, :, 0].T`` and ``targets.T``, for any N. Its sums
     run left to right (``series.ordered_dot``) and the rest is elementwise,
     so a window gets the same bits alone or in any stack. Only the windows
     above the bound are gathered into an (n, m, p) stack for
@@ -244,12 +219,8 @@ def solve_shared(designs: np.ndarray, targets: np.ndarray,
     n = designs.shape[0]
     if block.basis is None or not n:
         return solve_stacked(designs, targets)
-    if n < MIN_PROJECTION_STACK:
-        windows = zip(designs[:, :, 0].tolist(), targets.tolist())
-        solutions, bound = map(np.array, zip(*[_project(b, y, block) for b, y in windows]))
-    else:
-        with np.errstate(all="ignore"):  # windows that fail the bound may not be finite
-            solutions, bound = _project_stack(designs[:, :, 0], targets, block)
+    with np.errstate(all="ignore"):  # windows that fail the bound may not be finite
+        solutions, bound = _project_stack(designs[:, :, 0], targets, block)
     kept = bound <= SHARED_CONDITION_LIMIT ** 2
     condition, rejected = np.sqrt(bound), np.zeros(n, dtype=bool)
     if np.count_nonzero(kept) < n:
@@ -267,14 +238,15 @@ def solve_floats(design: list, target: list, block: Optional[SharedBlock] = None
 
     Returns the p solution floats, the condition estimate and whether the
     system is rejected, with the bits the system gets in any stack: the
-    scalar kernels ``_project`` and ``_jacobi_one`` make the stack's
+    scalar twins ``_project`` and ``_jacobi_one`` make the stack kernels'
     operations, and a trigonometric window above the kappa_F gate goes to
     ``solve_stacked`` as a stack of one.
     """
     if block is None:
-        (solution,), condition, rejected = _solve_one(design[0], design[1], [target],
-                                                      max(len(target), 2))
-        return list(solution), condition, rejected
+        solution, smax, smin = _jacobi_one(design[0], design[1], target)
+        condition = smax / smin if smin else math.inf
+        rejected = smin <= _EPS * max(len(target), 2) * smax or condition > CONDITION_LIMIT
+        return solution, condition, rejected
     if block.basis is not None:
         solution, bound = _project(design[0], target, block)
         if bound <= SHARED_CONDITION_LIMIT ** 2:
@@ -341,7 +313,7 @@ _SIGNS = np.array([-1.0, 1.0])[:, None, None]
 
 
 def _jacobi_stack(designs: np.ndarray, targets: np.ndarray):
-    """Solutions (N, 2, k) and largest and smallest singular values of N >= 2
+    """Solutions (N, 2, k) and largest and smallest singular values of N >= 1
     two-column systems, by a one-sided Jacobi SVD over the stack.
 
     It reads the systems window-last: ``designs`` is (2, m, N), column, row,
@@ -393,21 +365,10 @@ def _jacobi_stack(designs: np.ndarray, targets: np.ndarray):
     return solutions.transpose(2, 0, 1), sigma.max(axis=0), sigma.min(axis=0)
 
 
-def _solve_one(col0: list, col1: list, columns: list, size: int):
-    """One two-column system by ``_jacobi_one``, then the rank rule and
-    condition gate of ``solve_stacked`` on floats, with ``size`` the larger
-    of its dimensions: a (x0, x1) solution per target column, the condition
-    estimate and whether the system is rejected."""
-    solution, smax, smin = _jacobi_one(col0, col1, columns)
-    condition = smax / smin if smin else math.inf
-    rejected = smin <= _EPS * size * smax or condition > CONDITION_LIMIT
-    return solution, condition, rejected
-
-
-def _jacobi_one(col0: list, col1: list, columns: list):
+def _jacobi_one(col0: list, col1: list, target: list):
     """``_jacobi_stack`` for one system, with ``math`` on floats: the design's
-    two columns and the target columns as lists in, a (x0, x1) solution per
-    target column and the largest and smallest singular values out.
+    two columns and its target column as lists in, the solution [x0, x1] and
+    the largest and smallest singular values out.
 
     It makes the same IEEE operations in the same order, so it gives the same
     bits, without the fixed cost of some fifty numpy calls on one-element
@@ -446,14 +407,13 @@ def _jacobi_one(col0: list, col1: list, columns: list):
         a0, a1 = b0, b1
         v00, v01 = c * v00 - s * v01, s * v00 + c * v01
         v10, v11 = c * v10 - s * v11, s * v10 + c * v11
-    solution = []
-    for target in columns:
-        d0 = d1 = -0.0
-        for u, v, y in zip(a0, a1, [_ldexp(y, -scale) for y in target]):
-            d0 += u * y
-            d1 += v * y
-        c0, c1 = d0 / (alpha or 1.0), d1 / (beta or 1.0)
-        solution.append((v00 * c0 + v01 * c1, v10 * c0 + v11 * c1))
+    d0 = d1 = -0.0
+    for u, v, y in zip(a0, a1, target):
+        y = _ldexp(y, -scale)
+        d0 += u * y
+        d1 += v * y
+    c0, c1 = d0 / (alpha or 1.0), d1 / (beta or 1.0)
+    solution = [v00 * c0 + v01 * c1, v10 * c0 + v11 * c1]
     if min(alpha, beta) < _HOPELESS * max(alpha, beta):
         sigma0, sigma1 = _column_norms(np.array([a0, a1])[:, :, None])[:, 0].tolist()
     else:

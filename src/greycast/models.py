@@ -85,6 +85,11 @@ DEGENERATE_A = 1e-12
 # Denominator guard for the Verhulst product form.
 GVM_DENOM_FLOOR = 1e-12
 
+#: The longest forecast horizon. The closed forms take a local time w + h
+#: as a float, which an integer past about 1.8e308 has none of; the cap
+#: leaves room for any window length.
+MAX_STEPS_AHEAD = 10 ** 308
+
 #: The message, less the time, of a frequency for which omega * t overflows
 #: at a time t where a fit or closed form takes sin(omega t) or cos(omega t).
 OMEGA_OVERFLOW = "omega * t overflows the float range"
@@ -423,7 +428,7 @@ def fit_esc_windows(stage_one: WindowFits, windows, omega: Optional[float] = Non
     if n == 1:
         trig = trig.tolist()  # products of floats, faster than of numpy scalars
     if not (_finite(damp) and min(damp) >= 1e-250 if n == 1
-            else all(row.min() >= 1e-250 and all_finite(row) for row in damp)):
+            else all(row.min(initial=math.inf) >= 1e-250 and all_finite(row) for row in damp)):
         columns = np.reshape(damp, (w - 1, -1))  # a stack of one as one column
         fails.add(~np.isfinite(columns).all(axis=0) | (np.abs(columns).max(axis=0) < 1e-250),
                   lambda i: NumericalDegeneracyError(
@@ -599,14 +604,19 @@ def forecast_windows(fits: WindowFits, steps_ahead: int = 1) -> np.ndarray:
     The within-window clock runs k = 1..w, so the first out-of-window value
     lives at local index w + 1. Errors go to ``fits.failures``, and a
     forecast that the closed form's checks let through non-finite is one.
-    A horizon that is not an integer or below 1 fails every window.
+    A horizon that is not an integer, below 1 or above ``MAX_STEPS_AHEAD``
+    fails every window.
     """
     try:
         steps = _whole_number(steps_ahead)
     except TypeError:
         message = f"steps_ahead must be an integer, got {steps_ahead!r}"
     else:
-        message = None if steps >= 1 else "steps_ahead must be >= 1"
+        message = None
+        if steps < 1:
+            message = "steps_ahead must be >= 1"
+        elif steps > MAX_STEPS_AHEAD:
+            message = "steps_ahead must be <= 10**308"
     if message is not None:
         fits.failures.add_all(lambda i: InvalidInputError(message))
         return np.full(np.size(fits.a), np.nan)

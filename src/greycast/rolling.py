@@ -77,6 +77,7 @@ from .fourier import (
 )
 from .models import (
     EF_NAME,
+    MAX_STEPS_AHEAD,
     MIN_WINDOW,
     TRIG_KINDS,
     ModelKind,
@@ -152,6 +153,8 @@ class RollingConfig:
             raise InvalidInputError("EF harmonic cap must be >= 0")
         if self.multi_step < 1:
             raise InvalidInputError("multi_step must be >= 1")
+        if self.multi_step > MAX_STEPS_AHEAD:
+            raise InvalidInputError("multi_step must be <= 10**308")
         # A frozen config parses its model once; every roll reads the parse.
         kind, _, bench = parsed = parse_model(self.model)
         # GM_SC has four parameters; a 4-point window gives only 3 equations.

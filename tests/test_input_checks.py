@@ -123,7 +123,7 @@ def test_cli_ef_residual_window_not_a_number(tmp_path, capsys):
 
 def test_scaled_target_overflow_gives_the_same_bits_alone_and_stacked():
     """Scaling a 1e300 target by the power of two of a 1e-300 design overflows;
-    the scalar twin maps that to infinity as ``np.ldexp`` does."""
+    a stack of one maps that to infinity as a larger stack does."""
     design = np.array([[1.0, 2.0], [3.0, 1.0], [2.0, 2.0]]) * 1e-300
     target = np.array([1.0, 2.0, 3.0]) * 1e300
     alone = solve_stacked(design[None], target[None])

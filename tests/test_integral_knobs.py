@@ -33,6 +33,14 @@ def test_non_integral_knob_is_refused(knob, value):
     ("ef_harmonics", None),
     ("ef_harmonics", np.int64(0)),
     ("multi_step", 3),
+    ("multi_step", 10 ** 308),
 ])
 def test_integral_knob_is_kept(knob, value):
     assert getattr(RollingConfig(**{knob: value}), knob) is value
+
+
+@pytest.mark.parametrize("value", [10 ** 308 + 1, 2 ** 1024, 10 ** 400],
+                         ids=lambda s: f"{len(str(s))}-digits")
+def test_a_horizon_past_the_float_range_is_refused(value):
+    with pytest.raises(InvalidInputError, match=r"^multi_step must be <= 10\*\*308$"):
+        RollingConfig(multi_step=value)

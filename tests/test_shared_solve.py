@@ -180,7 +180,7 @@ def test_a_window_alone_equals_its_row_in_any_stack(kind):
     assert block.basis is not None
     alone = [lstsq.solve_shared(designs[i:i + 1], targets[i:i + 1], block)
              for i in range(designs.shape[0])]
-    k = lstsq.MIN_PROJECTION_STACK
+    k = 6
     order = rng.permutation(designs.shape[0])
     for rows in (np.arange(k - 1), np.arange(k), np.arange(k + 1), order,
                  np.arange(designs.shape[0])):
@@ -197,7 +197,7 @@ def test_small_two_column_stacks_equal_their_rows_alone():
     z = models._mean_sequence(x)
     designs = np.stack([-z, np.ones_like(z)], axis=2)
     targets = x[:, 1:]
-    k = lstsq.MIN_JACOBI_STACK
+    k = 12
     for rhs in (targets, np.stack([targets, 2.0 * targets], axis=2)):
         alone = [lstsq.solve_stacked(designs[i:i + 1], rhs[i:i + 1]) for i in range(40)]
         for size in (k - 1, k, k + 1, 40):

@@ -243,7 +243,7 @@ def test_multi_column_targets():
 
 
 def test_a_system_keeps_its_bits_alone_and_in_any_stack():
-    """The scalar twin (a stack of one) and the stack path give the same bits,
+    """A stack of one and any larger stack give a system the same bits,
     whatever else shares the stack and however many rotations it needs."""
     rng = np.random.default_rng(21)
     parts = [grey_systems(kind, adversarial_windows(rng, 60), omega) for kind, omega in CORPUS]

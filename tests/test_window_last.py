@@ -4,13 +4,12 @@
 ``series.window_view`` stack, row j of it is one contiguous slice of the
 series, and the mean sequence, design columns and targets are (N,) rows too.
 The solvers take (N, m, p) views of those rows. These tests check, for each
-grey kind and stack sizes on both sides of ``MIN_JACOBI_STACK`` and
-``MIN_PROJECTION_STACK`` up to ``BATCH_WINDOWS``, that every window's fit,
-forecasts, fitted values and errors equal those of the one-window calls, in
-float hex; and that ``solve_stacked`` and ``solve_shared`` give the same
-bytes for a C-ordered (N, m, p) stack and for the view of its window-last
-rows. They pin behaviour the layout must not change, so they hold for a
-window-first implementation as well.
+grey kind and stack sizes from 1 up to ``BATCH_WINDOWS``, that every
+window's fit, forecasts, fitted values and errors equal those of the
+one-window calls, in float hex; and that ``solve_stacked`` and
+``solve_shared`` give the same bytes for a C-ordered (N, m, p) stack and for
+the view of its window-last rows. They pin behaviour the layout must not
+change, so they hold for a window-first implementation as well.
 """
 import math
 
@@ -32,9 +31,7 @@ from greycast.models import (
 from greycast.rolling import BATCH_WINDOWS
 from greycast.series import window_view
 
-SIZES = sorted({1, lstsq.MIN_JACOBI_STACK - 1, lstsq.MIN_JACOBI_STACK + 1,
-                lstsq.MIN_PROJECTION_STACK - 1, lstsq.MIN_PROJECTION_STACK + 1,
-                284, 1436, BATCH_WINDOWS})
+SIZES = sorted({1, 2, 3, 5, 7, 11, 13, 284, 1436, BATCH_WINDOWS})
 HORIZONS = (1, 3)
 
 
@@ -177,6 +174,23 @@ def test_every_window_of_a_stack_equals_its_one_window_calls(kind, omega):
             assert got == one_window(kind, np.array(stack[i]), omega), (n, i, stack[i])
             checked.add(got[0] == "fit")
     assert checked == {True, False}  # both fitted and failed windows were seen
+
+
+@pytest.mark.parametrize("kind, omega", CASES, ids=[
+    kind.value if omega == models.DEFAULT_OMEGA.get(kind) else f"{kind.value}-{omega}"
+    for kind, omega in CASES])
+@pytest.mark.parametrize("w", [4, 7])
+def test_an_empty_stack_gives_empty_fits_and_forecasts(kind, omega, w):
+    """A stack of no windows fits none and fails none: its forecasts are a
+    (0,) array and its fitted values a (0, w - 1) one."""
+    with np.errstate(all="ignore"):
+        fits = fit_windows(kind, np.zeros((0, w)), omega)
+        forecasts = [forecast_windows(fits, h) for h in HORIZONS]
+        fitted = fitted_windows(fits)
+    assert [f.shape for f in forecasts] == [(0,)] * len(HORIZONS)
+    assert fitted.shape == (0, w - 1)
+    assert np.size(fits.a) == 0 and fits.failures.failed.shape == (0,)
+    assert not fits.failures.errors
 
 
 def test_gm_c_windows_at_omega_005_lie_above_the_gate():
