@@ -261,8 +261,12 @@ def _short_messages(first: int, need: int, short: int) -> Dict[int, str]:
 
 
 def _forecast_one(spec, history, standard: bool = False) -> float:
-    z = history.values if isinstance(history, Series) else np.asarray(history, float)
-    if z.ndim != 1 or not all_finite(z):
+    try:
+        z = history.values if isinstance(history, Series) else np.asarray(history, float)
+        usable = z.ndim == 1 and all_finite(z)
+    except (TypeError, ValueError):  # a string or a complex number
+        usable = False
+    if not usable:
         raise InvalidInputError("a history must be a 1-d sequence of finite values")
     with np.errstate(all="ignore"):  # an overflow is the error below, not a warning
         forecasts, messages = forecast_histories(spec, z, z.size, standard)

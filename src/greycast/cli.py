@@ -41,12 +41,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Online grey-system forecasting with Fourier error correction",
     )
     parser.add_argument("--version", action="version", version=f"greycast {__version__}")
-    parser.add_argument("--window", type=int, default=4, help="rolling window size (>= 4)")
+    parser.add_argument("--window", type=int, default=RollingConfig.window,
+                        help="rolling window size (>= 4)")
     parser.add_argument("--omega", type=float, default=None,
                         help="angular frequency override for trigonometric models")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (GREYCAST_SEED env var also honored)")
-    parser.add_argument("--ef-residual-window", default="24", metavar="N|inwindow",
+    parser.add_argument("--ef-residual-window", default=str(RollingConfig.ef_residual_window),
+                        metavar="N|inwindow",
                         help="EF residual buffer length, or 'inwindow' to fit the "
                              "correction on in-window residuals only")
     parser.add_argument("--ef-harmonics", type=int, default=None,
@@ -66,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fc.add_argument("model", help=f"one of {', '.join(ALL_MODEL_NAMES)}")
     fc.add_argument("--input", required=True, help="timestamp,value CSV")
     fc.add_argument("--output", default=None, help="write the trace CSV here")
-    fc.add_argument("--steps", type=int, default=1, metavar="H",
+    fc.add_argument("--steps", type=int, default=RollingConfig.multi_step, metavar="H",
                     help="forecast horizon: the row for target t holds the forecast H "
                          "steps past the window ending at t-1 (of index t+H-1), scored "
                          "against observation t; benchmark models ignore it")
@@ -74,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cal = sub.add_parser("calibrate", help="grid-search the frequency of a grey model")
     cal.add_argument("model", help="GM_S, GM_C, GM_SC or GM_ESC")
     cal.add_argument("--input", required=True, help="CSV of exactly one series")
-    cal.add_argument("--grid", default="0.05:100.0:0.05", metavar="LO:HI:STEP")
+    cal.add_argument("--grid", default=f"{OmegaGrid.lo}:{OmegaGrid.hi}:{OmegaGrid.step}",
+                     metavar="LO:HI:STEP")
 
     ev = sub.add_parser("evaluate", help="RMSE/MAPE of one model over a dataset")
     ev.add_argument("model")
@@ -98,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _rolling_config(args, model: str) -> RollingConfig:
     ef_raw = str(args.ef_residual_window).strip().lower()
     if ef_raw == "inwindow":
-        ef_window, in_window = 24, True
+        ef_window, in_window = RollingConfig.ef_residual_window, True
     else:
         try:
             ef_window, in_window = int(ef_raw), False

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .series import Series
+from .series import Series, all_finite
 
 DEFAULT_SEED = 20230216
 
@@ -95,8 +95,9 @@ def ingest_csv(path: str, interval: Optional[float] = None) -> Dataset:
     day) or plain integer indices (one group); a file whose ISO stamps mix
     ones with and without a UTC offset is refused, naming the first line
     that differs from the first stamp. The sampling interval is inferred
-    from the first two rows of a group unless given. Negative values are
-    rejected with their line numbers.
+    from the first two rows of a group unless given; a file whose groups
+    differ in it is refused, naming the first group that differs from the
+    first one. Negative values are rejected with their line numbers.
     """
     groups: Dict[Tuple[str, str], List[Tuple[object, float]]] = {}
     negatives: List[int] = []
@@ -160,6 +161,11 @@ def ingest_csv(path: str, interval: Optional[float] = None) -> Dataset:
         if step <= 0:
             raise InvalidInputError("could not infer a positive sampling interval")
         label = " ".join(part for part in (day, location) if part) or os.path.basename(path)
+        if series and step != series[0].interval:
+            raise InvalidInputError(
+                f"series {label!r} has an interval of {step:g} s and series "
+                f"{series[0].label!r} one of {series[0].interval:g} s, but all series in a "
+                f"dataset must share an interval; each is read from its series' first two rows")
         series.append(Series(np.array(values), interval=step, label=label))
     return Dataset(series=tuple(series), source=path)
 
@@ -221,33 +227,29 @@ def augment_stuck_values(series: Series, sigma: float = 0.01,
 MAX_SYNTH_POINTS = 10_000_000
 
 
-def _number(key: str, raw):
-    """A synthetic parameter as a finite float, or a whole count or position
-    (n, start, recover, ramp) as an int; else ``InvalidInputError``. A count
-    (n, ramp) below 1, an n above ``MAX_SYNTH_POINTS`` and a negative
-    ``sigma`` are refused too."""
-    whole = key in ("n", "start", "recover", "ramp")
+def _number(key: str, raw, rule: str):
+    """A synthetic parameter under its rule: a finite float ("real"), one
+    not negative ("scale"), a whole number as an int ("index") or a whole
+    number of at least 1 ("count"); else ``InvalidInputError``. A bool is no
+    number, and an n above ``MAX_SYNTH_POINTS`` is refused too."""
+    whole = rule in ("index", "count")
     try:
-        value = float(raw)
-    except (TypeError, ValueError):
+        value = math.nan if isinstance(raw, (bool, np.bool_)) else float(raw)
+    except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not math.isfinite(value) or (whole and value != int(value)):
         raise InvalidInputError(
             f"parameter {key} must be a {'whole' if whole else 'finite'} number, got {raw!r}")
-    if key in ("n", "ramp") and value < 1:
+    if rule == "count" and value < 1:
         raise InvalidInputError(f"parameter {key} must be at least 1, got {raw!r}")
     if key == "n" and value > MAX_SYNTH_POINTS:
         raise InvalidInputError(f"parameter n must be at most {MAX_SYNTH_POINTS}, got {raw!r}")
-    if key == "sigma" and value < 0:
-        raise InvalidInputError(f"parameter sigma must not be negative, got {raw!r}")
+    if rule == "scale" and value < 0:
+        raise InvalidInputError(f"parameter {key} must not be negative, got {raw!r}")
     return int(value) if whole else value
 
 
-def _exponential(params: dict, rng) -> np.ndarray:
-    a = float(params.get("a", 0.1))
-    b = float(params.get("b", 2.0))
-    x1 = float(params.get("x1", 1.0))
-    n = int(params.get("n", 100))
+def _exponential(rng, a, b, n, x1) -> np.ndarray:
     if a == -2.0:  # the recursion divides by 1 + a/2
         raise InvalidInputError("parameter a must not be -2")
     values = [x1]
@@ -259,26 +261,16 @@ def _exponential(params: dict, rng) -> np.ndarray:
     return np.array(values)
 
 
-def _logistic(params: dict, rng) -> np.ndarray:
-    cap = float(params.get("cap", 100.0))
-    rate = float(params.get("rate", 0.1))
-    n = int(params.get("n", 100))
-    mid = float(params.get("mid", n / 2.0))
-    sigma = float(params.get("sigma", 0.0))
+def _logistic(rng, cap, mid, n, rate, sigma) -> np.ndarray:
+    mid = n / 2.0 if mid is None else mid
     k = np.arange(1, n + 1, dtype=float)
-    with np.errstate(over="ignore"):  # e^x = inf puts the value at its limit, 0
-        values = cap / (1.0 + np.exp(-rate * (k - mid)))
+    values = cap / (1.0 + np.exp(-rate * (k - mid)))  # e^x = inf gives the limit, 0
     if sigma > 0:
         values = np.maximum(0.0, values + rng.normal(0.0, sigma, n))
     return values
 
 
-def _seasonal(params: dict, rng) -> np.ndarray:
-    mean = float(params.get("mean", 20.0))
-    amp = float(params.get("amp", 5.0))
-    period = float(params.get("period", 12.0))
-    sigma = float(params.get("sigma", 0.0))
-    n = int(params.get("n", 100))
+def _seasonal(rng, amp, mean, n, period, sigma) -> np.ndarray:
     if period == 0.0:
         raise InvalidInputError("parameter period must not be 0")
     k = np.arange(1, n + 1, dtype=float)
@@ -288,17 +280,12 @@ def _seasonal(params: dict, rng) -> np.ndarray:
     return np.maximum(0.0, values)
 
 
-def _incident(params: dict, rng) -> np.ndarray:
-    base = float(params.get("base", 60.0))
-    drop = float(params.get("drop", 35.0))
-    start = int(params.get("start", 220))
-    recover = int(params.get("recover", 230))
-    n = int(params.get("n", max(288, recover + 30)))
-    ramp = int(params.get("ramp", 2))
-    sigma = float(params.get("sigma", 0.0))
-    if n > MAX_SYNTH_POINTS:  # the default n, which follows recover
-        raise InvalidInputError(
-            f"incident's default n = recover + 30 = {n} is above {MAX_SYNTH_POINTS}; give n")
+def _incident(rng, base, drop, n, ramp, recover, sigma, start) -> np.ndarray:
+    if n is None:  # the default n follows recover
+        n = max(288, recover + 30)
+        if n > MAX_SYNTH_POINTS:
+            raise InvalidInputError(
+                f"incident's default n = recover + 30 = {n} is above {MAX_SYNTH_POINTS}; give n")
     if not (1 <= start < recover <= n):
         raise InvalidInputError("incident needs 1 <= start < recover <= n")
     if ramp > n:
@@ -319,33 +306,48 @@ def _incident(params: dict, rng) -> np.ndarray:
     return values
 
 
-#: Each generator and the parameters it reads.
+#: Each generator and the parameters it reads: {parameter: (default, rule)},
+#: under a rule of ``_number``. A default of None is derived by the generator.
 _GENERATORS = {
-    "exponential": (_exponential, ("a", "b", "n", "x1")),
-    "logistic": (_logistic, ("cap", "mid", "n", "rate", "sigma")),
-    "seasonal": (_seasonal, ("amp", "mean", "n", "period", "sigma")),
-    "incident": (_incident, ("base", "drop", "n", "ramp", "recover", "sigma", "start")),
+    "exponential": (_exponential, {"a": (0.1, "real"), "b": (2.0, "real"),
+                                   "n": (100, "count"), "x1": (1.0, "real")}),
+    "logistic": (_logistic, {"cap": (100.0, "real"), "mid": (None, "real"),
+                             "n": (100, "count"), "rate": (0.1, "real"),
+                             "sigma": (0.0, "scale")}),
+    "seasonal": (_seasonal, {"amp": (5.0, "real"), "mean": (20.0, "real"),
+                             "n": (100, "count"), "period": (12.0, "real"),
+                             "sigma": (0.0, "scale")}),
+    "incident": (_incident, {"base": (60.0, "real"), "drop": (35.0, "real"),
+                             "n": (None, "count"), "ramp": (2, "count"),
+                             "recover": (230, "index"), "sigma": (0.0, "scale"),
+                             "start": (220, "index")}),
 }
 
 
 def generate_synthetic(name: str, seed: Optional[int] = None,
                        interval: float = 60.0, **params) -> Series:
     """Deterministic synthetic series; parameters are recorded in the label.
-    Each must be one the generator reads and a finite number, a count or
-    position a whole one, a count (n, ramp) at least 1, n at most
-    ``MAX_SYNTH_POINTS`` and sigma not negative."""
+    Each must be one the generator reads and a number under its rule in
+    ``_GENERATORS``; the others take their defaults. The generators run with
+    numpy's warnings off, and a series that is not finite is refused."""
     key = name.strip().lower()
     if key not in _GENERATORS:
         raise InvalidInputError(
             f"unknown generator '{name}' (choose from {sorted(_GENERATORS)})")
-    generator, accepted = _GENERATORS[key]
-    unknown = [k for k in params if k not in accepted]
+    generator, table = _GENERATORS[key]
+    unknown = [k for k in params if k not in table]
     if unknown:
         raise InvalidInputError(
-            f"parameter {unknown[0]} is not one of {key}'s: {', '.join(accepted)}")
+            f"parameter {unknown[0]} is not one of {key}'s: {', '.join(table)}")
     actual_seed = resolve_seed(seed)
     rng = np.random.default_rng(actual_seed)
-    values = generator({k: _number(k, v) for k, v in params.items()}, rng)
+    given = {k: _number(k, v, table[k][1]) for k, v in params.items()}
+    with np.errstate(all="ignore"):
+        values = generator(rng, **{k: given.get(k, default) for k, (default, _) in table.items()})
+    if not all_finite(values):  # the defaults give finite series
+        bad = int(np.argmin(np.isfinite(values)))
+        shown = ", ".join(f"parameter {k} = {v!r}" for k, v in given.items())
+        raise InvalidInputError(f"{key} gives a non-finite value at index {bad} for {shown}")
     detail = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
     label = f"{key}({detail}) seed={actual_seed}".strip()
     return Series(values, interval=interval, label=label)

@@ -14,8 +14,11 @@ MAPE_ZERO_GUARD = 1e-9
 
 
 def _paired(predicted, observed):
-    p = np.asarray(predicted, dtype=float)
-    o = np.asarray(observed, dtype=float)
+    try:
+        p = np.asarray(predicted, dtype=float)
+        o = np.asarray(observed, dtype=float)
+    except (TypeError, ValueError):  # a string or a complex number
+        raise InvalidInputError("metric inputs must be finite") from None
     if p.shape != o.shape or p.ndim != 1 or p.size < 1:
         raise InvalidInputError("predicted and observed must be equal-length 1-d")
     if not (all_finite(p) and all_finite(o)):

@@ -681,8 +681,12 @@ def _integration_constant(fits: WindowFits) -> Optional[float]:
 
 def fit_model(kind: ModelKind, window, omega: Optional[float] = None) -> GreyFit:
     """Fit one window (omega defaults to the calibrated table)."""
-    values = window.values if isinstance(window, Series) else np.asarray(window, float)
-    if values.ndim != 1 or not all_finite(values):
+    try:
+        values = window.values if isinstance(window, Series) else np.asarray(window, float)
+        usable = values.ndim == 1 and all_finite(values)
+    except (TypeError, ValueError):  # a string or a complex number
+        usable = False
+    if not usable:
         raise InvalidInputError("a window must be a 1-d sequence of finite values")
     with np.errstate(all="ignore"):
         fits = fit_windows(kind, values[None], omega)

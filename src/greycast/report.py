@@ -83,7 +83,7 @@ def compare(dataset: Dataset, models: Sequence[str] = ALL_MODEL_NAMES,
         if omegas is not None:
             kind, _, _ = parse_model(model)
             if kind in omegas:
-                cfg = replace(cfg, omega=float(omegas[kind]))
+                cfg = replace(cfg, omega=omegas[kind])  # the config checks it
         configs.append(cfg)
     # Outside every roll's clock, so an EF, ARIMA or SARIMA row's time does
     # not depend on whether another roll filled a cache before it.

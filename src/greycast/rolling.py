@@ -51,6 +51,7 @@ history per arrival, where a roll's fixed cost is most of its cost.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -90,7 +91,11 @@ from .models import (
 )
 from .series import Series, all_finite, ordered_dot, window_view
 
-BENCHMARK_NAMES = ("LINEAR", "ARIMA", "SARIMA", "SETAR")
+#: Each benchmark model and the type of its ``benchmark_spec``.
+_BENCHMARK_SPECS = {"LINEAR": benchmarks.LinearSpec, "ARIMA": benchmarks.ArimaSpec,
+                    "SARIMA": benchmarks.ArimaSpec, "SETAR": benchmarks.SetarSpec}
+
+BENCHMARK_NAMES = tuple(_BENCHMARK_SPECS)
 
 GREY_MODEL_NAMES = tuple(name for kind in ModelKind for name in (kind.value, EF_NAME[kind]))
 
@@ -155,8 +160,24 @@ class RollingConfig:
             raise InvalidInputError("multi_step must be >= 1")
         if self.multi_step > MAX_STEPS_AHEAD:
             raise InvalidInputError("multi_step must be <= 10**308")
+        if self.omega is not None:
+            # A string or complex ω fails inside every trigonometric roll, and
+            # True would roll at ω = 1. nan, inf and negative ω are flagged there.
+            try:
+                if isinstance(self.omega, bool) or not isinstance(self.omega, numbers.Real):
+                    raise TypeError
+                float(self.omega)  # an int past the float range overflows
+            except (TypeError, OverflowError):
+                raise InvalidInputError(
+                    f"omega must be None or a real number in the float range, "
+                    f"got {self.omega!r}") from None
         # A frozen config parses its model once; every roll reads the parse.
         kind, _, bench = parsed = parse_model(self.model)
+        spec = self.benchmark_spec  # a grey model ignores it
+        if bench is not None and spec is not None and not isinstance(spec, _BENCHMARK_SPECS[bench]):
+            raise InvalidInputError(
+                f"{bench}'s benchmark_spec must be None or a "
+                f"{_BENCHMARK_SPECS[bench].__name__}, got {type(spec).__name__}")
         # GM_SC has four parameters; a 4-point window gives only 3 equations.
         w = self.window if bench is not None else max(self.window, MIN_WINDOW[kind])
         object.__setattr__(self, "_parsed", parsed)
@@ -670,7 +691,11 @@ class OmegaGrid:
     step: float = 0.05
 
     def __post_init__(self):
-        if not (0 < self.lo <= self.hi < math.inf and 0 < self.step < math.inf):
+        try:
+            ordered = 0 < self.lo <= self.hi < math.inf and 0 < self.step < math.inf
+        except TypeError:  # a string, say
+            ordered = False
+        if not ordered:
             raise InvalidInputError("grid needs 0 < lo <= hi and step > 0, all finite")
         if (self.hi - self.lo) / self.step + 1e-9 >= MAX_GRID_CANDIDATES:
             raise InvalidInputError(f"grid holds more than {MAX_GRID_CANDIDATES} candidates")
@@ -700,8 +725,9 @@ def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
     the RMS of the observed targets: ties keep the smaller candidate. A
     candidate whose phase ω·t the floats resolve to no better than half a turn
     at the forecast time (ulp(ω·(w + h)) > π), or whose every step falls back,
-    is skipped. An error a roll raises belongs to the series, not to a
-    frequency, so it propagates.
+    is skipped; when the first candidate is, no candidate is rolled and the
+    error names it and t. An error a roll raises belongs to the series, not
+    to a frequency, so it propagates.
     """
     if not isinstance(kind, ModelKind):
         raise InvalidInputError(f"calibrate_omega needs a ModelKind, got {kind!r}")
@@ -717,9 +743,15 @@ def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
     scaled = np.ldexp(observed, -scale)
     tolerance = TIE_TOLERANCE * float(np.finfo(float).eps) * math.ldexp(
         math.sqrt(float(np.mean(scaled * scaled))), scale)
+    candidates = grid.candidates()
+    if math.ulp(float(candidates[0]) * latest) > math.pi:
+        raise CalibrationFailedError(
+            f"no grid frequency was rolled: the first, {float(candidates[0])!r}, has a phase "
+            f"omega t that the floats resolve to no better than half a turn at "
+            f"t = w + h = {latest} (ulp(omega t) > pi)")
     best_omega, best_rmse = None, math.inf
     with _sharing():
-        for omega in grid.candidates():
+        for omega in candidates:
             if math.ulp(float(omega) * latest) > math.pi:
                 break  # every later candidate is larger, so coarser still
             trace = roll_forecast(series, replace(base, omega=float(omega)))

@@ -83,13 +83,20 @@ class Series:
     # Series per arrival: the generated __init__ and __post_init__ set each
     # frozen field one call at a time.
     def __init__(self, values, interval: float = 60.0, label: str = ""):
-        arr = np.array(values, dtype=float)  # always a copy of its own
+        try:
+            arr = np.array(values, dtype=float)  # always a copy of its own
+        except (TypeError, ValueError) as exc:  # a string, a complex number, a dict
+            raise InvalidInputError(f"series values must be real numbers: {exc}") from None
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("series must be a non-empty 1-d sequence")
         if not all_finite(arr):
             bad = int(np.argmin(np.isfinite(arr)))
             raise InvalidInputError(f"non-finite value at index {bad}")
-        if not (interval > 0):
+        try:
+            positive = interval > 0
+        except TypeError:  # a string, say
+            positive = False
+        if not positive:
             raise InvalidInputError("sampling interval must be positive")
         arr.setflags(write=False)
         self.__dict__.update(values=arr, interval=interval, label=label)

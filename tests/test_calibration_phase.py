@@ -40,3 +40,15 @@ def test_the_bound_is_taken_at_the_forecast_time(series, kind):
     assert calibrate_omega(series, kind, grid, RollingConfig(multi_step=1)) == omega
     with pytest.raises(CalibrationFailedError):
         calibrate_omega(series, kind, grid, RollingConfig(multi_step=3))
+
+
+@pytest.mark.parametrize("kind", TRIG_KINDS)
+def test_a_horizon_that_stops_the_search_before_any_roll_is_named(kind):
+    series = Series(20.0 + 5.0 * np.sin(2.0 * np.pi * np.arange(1, 61) / 12.0))
+    config = RollingConfig(multi_step=10**18)
+    t = RollingConfig(model=kind.value).effective_window() + 10**18
+    # The default grid's first candidate, 0.05, is past the bound already.
+    assert math.ulp(0.05 * t) > math.pi
+    with pytest.raises(CalibrationFailedError,
+                       match=rf"the first, 0\.05, .* at t = w \+ h = {t} \(ulp\(omega t\) > pi\)"):
+        calibrate_omega(series, kind, OmegaGrid(), config)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from greycast import InvalidInputError, Series
+from greycast.cli import EXIT_INVALID_INPUT, main
 from greycast.data import (
     _parse_timestamp,
     DEFAULT_SEED,
@@ -86,6 +87,23 @@ class TestIngestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidInputError):
             ingest_csv(str(tmp_path / "nope.csv"))
+
+    def test_mixed_intervals_name_the_series_and_both_intervals(self, tmp_path, capsys):
+        # The second day lacks its second row, so its interval reads 600 s.
+        path = tmp_path / "gap.csv"
+        rows = ["timestamp,value"]
+        rows += [f"2011-09-15T{m // 60:02d}:{m % 60:02d},{50 + m % 7}" for m in range(0, 120, 5)]
+        rows += [f"2011-09-16T{m // 60:02d}:{m % 60:02d},{50 + m % 7}" for m in range(0, 120, 5)
+                 if m != 5]
+        path.write_text("\n".join(rows) + "\n")
+        message = ("series '2011-09-16' has an interval of 600 s and series '2011-09-15' "
+                   "one of 300 s, but all series in a dataset must share an interval; "
+                   "each is read from its series' first two rows")
+        with pytest.raises(InvalidInputError) as info:
+            ingest_csv(str(path))
+        assert str(info.value) == message
+        assert main(["compare", "--input", str(path)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestAggregate:

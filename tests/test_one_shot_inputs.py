@@ -2,7 +2,9 @@
 sequence of finite values, a target interval that is not finite and
 positive, and a benchmark forecast that is not finite, each with
 ``InvalidInputError``; before, some fitted the flattened window or returned
-nan or inf, and others raised a bare numpy or Python error."""
+nan or inf, and others raised a bare numpy or Python error. So do
+``Series``, the metrics and ``OmegaGrid`` for a string or a complex number,
+where numpy or Python raised a bare ``ValueError`` or ``TypeError``."""
 import math
 
 import numpy as np
@@ -19,7 +21,9 @@ from greycast.benchmarks import (
 )
 from greycast.config import load_config
 from greycast.data import aggregate
+from greycast.metrics import mape, rmse
 from greycast.models import ModelKind, fit_model
+from greycast.rolling import OmegaGrid
 
 SPECS = load_config()
 FORECASTERS = {
@@ -101,3 +105,32 @@ def test_aggregate_refuses_a_target_interval_that_is_not_finite_and_positive(tar
     series = Series([1.0, 2.0, 3.0, 4.0], interval=60.0)
     with pytest.raises(InvalidInputError, match="not finite and positive"):
         aggregate(series, target)
+
+
+COMPLEX_HISTORY = [complex(v, 1.0) for v in HISTORY]
+NOT_REAL = {
+    "Series-str": (lambda: Series(["a"]), "series values must be real numbers"),
+    "Series-complex": (lambda: Series([1 + 1j]), "series values must be real numbers"),
+    "Series-dict": (lambda: Series({1: 2}), "series values must be real numbers"),
+    "Series-interval-str": (lambda: Series([1.0, 2.0], interval="5"),
+                            "sampling interval must be positive"),
+    "fit_model-str": (lambda: fit_model(ModelKind.GM11, ["1", "2", "3", "x"]),
+                      "a window must be a 1-d sequence of finite values"),
+    "fit_model-complex": (lambda: fit_model(ModelKind.GM11, [1 + 1j, 2.0, 3.0, 4.0]),
+                          "a window must be a 1-d sequence of finite values"),
+    "LINEAR-complex": (lambda: forecast_linear(SPECS.linear, COMPLEX_HISTORY),
+                       "a history must be a 1-d sequence of finite values"),
+    "ARIMA-complex": (lambda: forecast_arima(SPECS.arima, COMPLEX_HISTORY),
+                      "a history must be a 1-d sequence of finite values"),
+    "SETAR-complex": (lambda: forecast_setar(SPECS.setar, COMPLEX_HISTORY),
+                      "a history must be a 1-d sequence of finite values"),
+    "rmse-str": (lambda: rmse(["a"], [1.0]), "metric inputs must be finite"),
+    "mape-complex": (lambda: mape([1 + 1j], [1.0]), "metric inputs must be finite"),
+    "OmegaGrid-str": (lambda: OmegaGrid("0.1", 1, 0.1), "grid needs 0 < lo <= hi"),
+}
+
+
+@pytest.mark.parametrize("call, message", NOT_REAL.values(), ids=list(NOT_REAL))
+def test_a_string_or_complex_number_is_an_input_error(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
