@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .errors import NON_FINITE_FORECAST, InsufficientDataError, InvalidInputError
-from .series import Series, all_finite, window_view
+from .series import Series, all_finite, complex_array, window_view
 
 
 @dataclass(frozen=True)
@@ -262,6 +262,8 @@ def _short_messages(first: int, need: int, short: int) -> Dict[int, str]:
 
 def _forecast_one(spec, history, standard: bool = False) -> float:
     try:
+        if complex_array(history):  # the cast would drop its imaginary parts
+            raise TypeError
         z = history.values if isinstance(history, Series) else np.asarray(history, float)
         usable = z.ndim == 1 and all_finite(z)
     except (TypeError, ValueError):  # a string or a complex number

@@ -7,13 +7,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .series import all_finite
+from .series import all_finite, complex_array
 
 # Observations smaller than this are excluded from MAPE instead of dividing.
 MAPE_ZERO_GUARD = 1e-9
 
 
 def _paired(predicted, observed):
+    if complex_array(predicted) or complex_array(observed):
+        raise InvalidInputError("metric inputs must be real numbers, not complex")
     try:
         p = np.asarray(predicted, dtype=float)
         o = np.asarray(observed, dtype=float)

@@ -75,7 +75,7 @@ from .errors import (
 )
 from .lstsq import (SharedBlock, factor_block, singular_error, solve_floats, solve_shared,
                     solve_stacked)
-from .series import Series, all_finite
+from .series import Series, all_finite, complex_array
 
 # Below this magnitude the development coefficient is treated as exactly zero
 # by the integration constant K, which splits off a b/a term and is undefined
@@ -682,6 +682,8 @@ def _integration_constant(fits: WindowFits) -> Optional[float]:
 def fit_model(kind: ModelKind, window, omega: Optional[float] = None) -> GreyFit:
     """Fit one window (omega defaults to the calibrated table)."""
     try:
+        if complex_array(window):  # the cast would drop its imaginary parts
+            raise TypeError
         values = window.values if isinstance(window, Series) else np.asarray(window, float)
         usable = values.ndim == 1 and all_finite(values)
     except (TypeError, ValueError):  # a string or a complex number

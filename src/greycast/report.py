@@ -186,26 +186,50 @@ def format_csv(report: EvalReport, include_timing: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.QUOTE_MINIMAL`` writes it: quoted, with its quotes
+    doubled, when it holds a comma, a quote, CR or LF; else as it is."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def format_trace_csv(traces: Sequence[ForecastTrace],
                      series_labels: Optional[Sequence[str]] = None) -> str:
     """Long-format per-step export for box-plot style downstream analysis.
 
     ``series_labels`` names each trace's series, one label per trace; the
-    default labels are the traces' positions.
+    default labels are the traces' positions. A label or model name that
+    holds a comma, a quote, CR or LF is quoted as ``csv.QUOTE_MINIMAL``
+    quotes it.
+
+    Each trace is written as one block of rows. The ",index,observed," text
+    of a row depends on the series only, so the traces of one series (one
+    per model) share it: it is built once per distinct start index and
+    observed bits, whatever the label.
     """
     labels = (list(map(str, range(len(traces)))) if series_labels is None
               else list(series_labels))
     if len(labels) != len(traces):
         raise InvalidInputError(f"{len(labels)} series labels for {len(traces)} traces")
-    lines = ["series,model,index,observed,predicted,residual,fallback_flag"]
-    for label, trace in zip(labels, traces):
-        head = f"{label},{trace.model},"
-        predicted, observed = trace.predicted_values, trace.observed_values
-        first = trace.start_index
-        with np.errstate(over="ignore"):  # a huge but finite miss gives inf, silently
-            residual = observed - predicted
-        lines.extend(f"{head}{index},{o!r},{p!r},{r!r},{int(flag)}"
-                     for index, o, p, r, flag in zip(
-                         range(first, first + predicted.size), observed.tolist(),
-                         predicted.tolist(), residual.tolist(), trace.fallback_flags.tolist()))
-    return "\n".join(lines) + "\n"
+    blocks = ["series,model,index,observed,predicted,residual,fallback_flag\n"]
+    shared: Dict[Tuple[int, bytes], List[str]] = {}
+    with np.errstate(over="ignore"):  # a huge but finite miss gives inf, silently
+        for label, trace in zip(labels, traces):
+            predicted, observed = trace.predicted_values, trace.observed_values
+            first, count = trace.start_index, observed.size
+            # The bytes tell -0.0 from 0.0 and give the length.
+            key = (first, observed.tobytes())
+            steps = shared.get(key)
+            if steps is None:
+                steps = shared[key] = [f"{index},{o!r}," for index, o in zip(
+                    range(first, first + count), observed.tolist())]
+            # A row: label,model, | index,observed, | predicted , residual , flag \n
+            row = [None, None, None, ",", None, ",", None, "\n"] * count
+            row[0::8] = [f"{_csv_field(str(label))},{_csv_field(trace.model)},"] * count
+            row[1::8] = steps
+            row[2::8] = map(repr, predicted.tolist())
+            row[4::8] = map(repr, (observed - predicted).tolist())
+            row[6::8] = (trace.fallback_flags.view(np.uint8) + 48).tobytes().decode()
+            blocks.append("".join(row))
+    return "".join(blocks)

@@ -691,6 +691,9 @@ class OmegaGrid:
     step: float = 0.05
 
     def __post_init__(self):
+        if any(isinstance(v, (bool, np.bool_)) for v in (self.lo, self.hi, self.step)):
+            # Python counts True as 1, but a bool given for a frequency is a mistake.
+            raise InvalidInputError(f"grid bounds and step must be numbers, got {self!r}")
         try:
             ordered = 0 < self.lo <= self.hi < math.inf and 0 < self.step < math.inf
         except TypeError:  # a string, say

@@ -17,6 +17,18 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import InsufficientDataError, InvalidInputError
 
 
+_FLOAT = np.dtype(float)
+_BOOLS = (bool, np.bool_)
+
+
+def complex_array(values) -> bool:
+    """Whether ``values`` is an array of complex numbers, whose float cast
+    would drop the imaginary parts with only a warning. A float64 array is
+    told apart by its dtype's identity, which costs about 40 ns."""
+    dtype = getattr(values, "dtype", _FLOAT)
+    return dtype is not _FLOAT and dtype.kind == "c"
+
+
 def all_finite(arr: np.ndarray) -> bool:
     """Whether every entry of ``arr`` is finite (counting beats ``.all()`` on
     the short arrays of an online roll)."""
@@ -83,6 +95,8 @@ class Series:
     # Series per arrival: the generated __init__ and __post_init__ set each
     # frozen field one call at a time.
     def __init__(self, values, interval: float = 60.0, label: str = ""):
+        if complex_array(values):
+            raise InvalidInputError("series values must be real numbers, not complex")
         try:
             arr = np.array(values, dtype=float)  # always a copy of its own
         except (TypeError, ValueError) as exc:  # a string, a complex number, a dict
@@ -98,6 +112,8 @@ class Series:
             positive = False
         if not positive:
             raise InvalidInputError("sampling interval must be positive")
+        if isinstance(interval, _BOOLS):  # Python counts True as 1 s
+            raise InvalidInputError(f"sampling interval must be a number, got {interval!r}")
         arr.setflags(write=False)
         self.__dict__.update(values=arr, interval=interval, label=label)
 
