@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .errors import NON_FINITE_FORECAST, InsufficientDataError, InvalidInputError
-from .series import Series, all_finite, complex_array, window_view
+from .series import Series, all_finite, complex_array, whole_number, window_view
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,8 @@ class ArimaSpec:
             if roots.size and np.abs(roots).min() <= 1.0 + 1e-9:
                 raise InvalidInputError(
                     "MA polynomial not invertible (root on/inside unit circle)")
+        for name in ("d", "D", "season_period", "truncation"):
+            whole_number(getattr(self, name), name)
 
     @property
     def min_history(self) -> int:
@@ -78,6 +80,7 @@ class SetarSpec:
             raise InvalidInputError("threshold must be finite")
         if self.delay < 0:
             raise InvalidInputError("delay must be >= 0")
+        whole_number(self.delay, "delay")
 
     @property
     def min_history(self) -> int:
@@ -98,6 +101,7 @@ class LinearSpec:
             raise InvalidInputError("linear spec needs at least one coefficient")
         if self.delay < 1:
             raise InvalidInputError("delay must be >= 1")
+        whole_number(self.delay, "delay")
 
     @property
     def min_history(self) -> int:

@@ -26,46 +26,31 @@ from .lstsq import (
     solve_least_squares,
     solve_stacked,
 )
-from .series import all_finite
+from .series import _Record, all_finite, real_array, whole_number
 
 NON_FINITE_RESIDUALS = "residuals must be finite"
 
 
 @dataclass(frozen=True, eq=False)
-class ResidualSeries:
+class ResidualSeries(_Record):
     """Ordered residuals eps(k) = observed(k) - predicted(k).
 
     ``start_index`` is the time index of the first residual (2 when the
     residuals come from inside a fitted window, since the first in-window
-    one-step forecast targets k = 2). Two series are equal when their start
-    indices and values are.
+    one-step forecast targets k = 2).
     """
 
     values: np.ndarray
     start_index: int = 2
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)  # always a copy of its own
+        arr = real_array(self.values, "residuals")  # always a copy of its own
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("residual series must be non-empty and 1-d")
         if not all_finite(arr):
             raise InvalidInputError(NON_FINITE_RESIDUALS)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def _unchecked(cls, values: np.ndarray, start_index: int) -> "ResidualSeries":
-        """The series of ``values``, a finite, non-empty, read-only 1-d float
-        array, kept as it is: the constructor without its copy and checks."""
-        series = object.__new__(cls)
-        series.__dict__.update(values=values, start_index=start_index)
-        return series
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ResidualSeries):
-            return NotImplemented
-        return (self.start_index == other.start_index
-                and np.array_equal(self.values, other.values))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -103,10 +88,12 @@ def _period(n: int) -> int:
 
 def _harmonic_count(n: int, harmonics: Optional[int]) -> int:
     cap = max_harmonics(n)
-    count = cap if harmonics is None else int(harmonics)
+    if harmonics is None:
+        return cap
+    count = int(harmonics)
     if count < 0 or count > cap:
         raise InvalidInputError(f"harmonic count {count} outside [0, {cap}]")
-    return count
+    return whole_number(harmonics, "harmonic count")
 
 
 def _design(k: np.ndarray, count: int, period: int) -> np.ndarray:
@@ -170,6 +157,8 @@ class _WeightCache:
         self.cache_clear()
 
     def __call__(self, n: int, harmonics: int) -> np.ndarray:
+        if harmonics.__class__ is not int:  # True and 1.0 are keys equal to 1
+            harmonics = _harmonic_count(n, harmonics)
         weights = self._kept.get((n, harmonics))
         if weights is not None:
             self._hits += 1

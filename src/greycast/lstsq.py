@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import (NON_FINITE_SYSTEM, InsufficientDataError, InvalidInputError,
                      SingularSystemError)
-from .series import all_finite, ordered_dot, ordered_sum, row_sums
+from .series import _Record, all_finite, ordered_dot, ordered_sum, real_array, row_sums
 
 CONDITION_LIMIT = 1e12
 _EPS = float(np.finfo(float).eps)
@@ -61,14 +61,14 @@ _EPS = float(np.finfo(float).eps)
 SHARED_CONDITION_LIMIT = 1e4
 
 
-@dataclass(frozen=True)
-class LeastSquaresProblem:
+@dataclass(frozen=True, eq=False)
+class LeastSquaresProblem(_Record):
     design: np.ndarray  # (m, p), m >= p
     targets: np.ndarray  # (m,)
 
     def __post_init__(self):
-        b = np.asarray(self.design, dtype=float)
-        y = np.asarray(self.targets, dtype=float)
+        b = real_array(self.design, "least-squares entries")
+        y = real_array(self.targets, "least-squares entries")
         if b.ndim != 2 or y.ndim != 1 or b.shape[0] != y.size:
             raise InvalidInputError("design must be 2-d with one target per row")
         if b.shape[0] < b.shape[1]:

@@ -58,7 +58,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, NamedTuple, Optional
@@ -75,7 +74,7 @@ from .errors import (
 )
 from .lstsq import (SharedBlock, factor_block, singular_error, solve_floats, solve_shared,
                     solve_stacked)
-from .series import Series, all_finite, complex_array
+from .series import Series, all_finite, complex_array, whole_number
 
 # Below this magnitude the development coefficient is treated as exactly zero
 # by the integration constant K, which splits off a b/a term and is undefined
@@ -589,14 +588,6 @@ def _every(mask) -> bool:
     return bool(mask)
 
 
-def _whole_number(value) -> int:
-    """``operator.index(value)``, which also raises ``TypeError`` for a bool:
-    Python counts ``True`` as 1, but a bool given for a count is a mistake."""
-    if isinstance(value, bool):
-        raise TypeError(f"a bool is not a count: {value!r}")
-    return operator.index(value)
-
-
 def forecast_windows(fits: WindowFits, steps_ahead: int = 1) -> np.ndarray:
     """``steps_ahead`` forecast past every window, without refitting, as an
     (N,) array.
@@ -608,9 +599,9 @@ def forecast_windows(fits: WindowFits, steps_ahead: int = 1) -> np.ndarray:
     fails every window.
     """
     try:
-        steps = _whole_number(steps_ahead)
-    except TypeError:
-        message = f"steps_ahead must be an integer, got {steps_ahead!r}"
+        steps = whole_number(steps_ahead, "steps_ahead")
+    except InvalidInputError as exc:
+        message = str(exc)
     else:
         message = None
         if steps < 1:

@@ -55,7 +55,7 @@ import numbers
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -87,9 +87,8 @@ from .models import (
     fit_windows,
     fitted_windows,
     forecast_windows,
-    _whole_number,
 )
-from .series import Series, all_finite, ordered_dot, window_view
+from .series import Series, _Record, all_finite, ordered_dot, whole_number, window_view
 
 #: Each benchmark model and the type of its ``benchmark_spec``.
 _BENCHMARK_SPECS = {"LINEAR": benchmarks.LinearSpec, "ARIMA": benchmarks.ArimaSpec,
@@ -142,10 +141,7 @@ class RollingConfig:
         for name in ("window", "ef_residual_window", "ef_harmonics", "multi_step"):
             value = getattr(self, name)
             if value is not None or name != "ef_harmonics":
-                try:
-                    _whole_number(value)
-                except TypeError:
-                    raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+                whole_number(value, name)
         for name in ("ef_in_window", "clamp_nonnegative", "standard_psi"):
             # Any non-empty string is true, so "false" would switch a flag on.
             if not isinstance(getattr(self, name), (bool, np.bool_)):
@@ -208,7 +204,7 @@ class _kept:
 
 
 @dataclass(frozen=True, eq=False)
-class ForecastTrace:
+class ForecastTrace(_Record):
     """Per-step record of one rolling run over one series, held as columns.
 
     Step j targets the 1-based index ``start_index + j``. Its forecast, its
@@ -223,8 +219,7 @@ class ForecastTrace:
     builds its ``errors`` field the same way, from the flags and the roll's
     {step: message}.
 
-    Two traces are equal when everything but their timings is. A trace holds
-    arrays, so it is unhashable.
+    Two traces are equal when everything but their timings is.
     """
 
     model: str
@@ -233,10 +228,8 @@ class ForecastTrace:
     observed_values: np.ndarray
     fallback_flags: np.ndarray
     residuals: ResidualSeries
-    per_step_time: Tuple[float, ...]  # s; equal share of the roll
+    per_step_time: Tuple[float, ...] = field(compare=False)  # s; equal share of the roll
     errors: Tuple[Tuple[int, str], ...]
-
-    __hash__ = None
 
     def __post_init__(self):
         # A column its caller can still write to is copied, so the trace
@@ -248,31 +241,6 @@ class ForecastTrace:
                 column = column.copy()
                 column.setflags(write=False)
             object.__setattr__(self, name, column)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.model == other.model and self.start_index == other.start_index
-                and np.array_equal(self.predicted_values, other.predicted_values)
-                and np.array_equal(self.observed_values, other.observed_values)
-                and np.array_equal(self.fallback_flags, other.fallback_flags)
-                and self.residuals == other.residuals and self.errors == other.errors)
-
-    @classmethod
-    def _unchecked(cls, model: str, start_index: int, predicted_values: np.ndarray,
-                   observed_values: np.ndarray, fallback_flags: np.ndarray,
-                   residuals: ResidualSeries, per_step_time: Tuple[float, ...],
-                   messages: Dict[int, str]) -> "ForecastTrace":
-        """The trace of columns that are already read-only arrays of the
-        right dtype, kept as they are: the constructor without its checks.
-        ``messages`` holds the message of every step that fell back, by
-        step; ``errors`` is built from it on its first read."""
-        trace = object.__new__(cls)
-        trace.__dict__.update(
-            model=model, start_index=start_index, predicted_values=predicted_values,
-            observed_values=observed_values, fallback_flags=fallback_flags,
-            residuals=residuals, per_step_time=per_step_time, _messages=messages)
-        return trace
 
     @_kept
     def predictions(self) -> Tuple[Tuple[int, float, float], ...]:
@@ -412,9 +380,12 @@ def roll_forecast(series: Series, config: RollingConfig) -> ForecastTrace:
     for column in (predicted, failed, misses):  # the trace keeps them as they are
         column.setflags(write=False)
     share = (time.perf_counter() - start + _borrowed() - borrowed) / count
-    return ForecastTrace._unchecked(config.model, w + 1, predicted, observed, failed,
-                                    ResidualSeries._unchecked(misses, w + 1),
-                                    (share,) * count, messages)
+    # ``errors`` is built from the {step: message} of the failed steps on its first read.
+    return ForecastTrace._unchecked(
+        model=config.model, start_index=w + 1, predicted_values=predicted,
+        observed_values=observed, fallback_flags=failed,
+        residuals=ResidualSeries._unchecked(values=misses, start_index=w + 1),
+        per_step_time=(share,) * count, _messages=messages)
 
 
 #: The message of a step whose forecast misses its observation by more than

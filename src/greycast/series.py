@@ -9,7 +9,9 @@ over one window's terms does not depend on the stack around it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -19,14 +21,49 @@ from .errors import InsufficientDataError, InvalidInputError
 
 _FLOAT = np.dtype(float)
 _BOOLS = (bool, np.bool_)
+_PLAIN = frozenset((float, int))
 
 
 def complex_array(values) -> bool:
-    """Whether ``values`` is an array of complex numbers, whose float cast
-    would drop the imaginary parts with only a warning. A float64 array is
-    told apart by its dtype's identity, which costs about 40 ns."""
-    dtype = getattr(values, "dtype", _FLOAT)
-    return dtype is not _FLOAT and dtype.kind == "c"
+    """Whether ``values`` holds complex numbers whose float cast would drop
+    the imaginary parts with only a warning: a complex array, or a numpy
+    complex scalar in a 1-d sequence or object array (the cast refuses a
+    Python complex itself). A float64 array is told apart by its dtype's
+    identity, which costs about 40 ns, and a list of Python numbers by the
+    types of its entries."""
+    dtype = getattr(values, "dtype", None)
+    if dtype is _FLOAT:
+        return False
+    if dtype is not None and dtype.kind != "O":
+        return dtype.kind == "c"
+    if (dtype is None and not isinstance(values, Sequence) or getattr(values, "ndim", 1) != 1
+            or _PLAIN.issuperset(map(type, values))):
+        return False
+    return any(isinstance(v, (np.generic, np.ndarray)) and v.ndim == 0 and v.dtype.kind == "c"
+               for v in values)
+
+
+def real_array(values, what: str) -> np.ndarray:
+    """A new float array of ``values``; ``InvalidInputError`` naming ``what``
+    when they are not real numbers (a string, a complex number, a dict)."""
+    if complex_array(values):
+        raise InvalidInputError(f"{what} must be real numbers, not complex")
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what} must be real numbers: {exc}") from None
+
+
+def whole_number(value, name: str) -> int:
+    """``operator.index(value)``; ``InvalidInputError`` naming ``name`` for
+    anything it refuses, and for a bool: Python counts ``True`` as 1, but a
+    bool given for a count is a mistake."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
 def all_finite(arr: np.ndarray) -> bool:
@@ -78,8 +115,33 @@ def window_view(values: np.ndarray, width: int, count: int) -> np.ndarray:
     return as_strided(values, (count, width), (step, step), writeable=False)
 
 
-@dataclass(frozen=True, init=False)
-class Series:
+class _Record:
+    """Base of the frozen records that hold arrays.
+
+    A record equals only a record of its own class whose compared fields are
+    equal, arrays by ``np.array_equal``; it is unhashable, since it holds
+    arrays. ``_unchecked`` builds one from its fields as they are, with no
+    copy and no check: the engine's builder for arrays it made read-only.
+    """
+
+    __hash__ = None
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+        return all(np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+                   for mine, theirs in pairs)
+
+    @classmethod
+    def _unchecked(cls, **values):
+        record = object.__new__(cls)
+        record.__dict__.update(values)
+        return record
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Series(_Record):
     """A finite, time-ordered sequence of real observations.
 
     ``interval`` is the sampling period in seconds. The constructor checks
@@ -95,12 +157,7 @@ class Series:
     # Series per arrival: the generated __init__ and __post_init__ set each
     # frozen field one call at a time.
     def __init__(self, values, interval: float = 60.0, label: str = ""):
-        if complex_array(values):
-            raise InvalidInputError("series values must be real numbers, not complex")
-        try:
-            arr = np.array(values, dtype=float)  # always a copy of its own
-        except (TypeError, ValueError) as exc:  # a string, a complex number, a dict
-            raise InvalidInputError(f"series values must be real numbers: {exc}") from None
+        arr = real_array(values, "series values")  # always a copy of its own
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("series must be a non-empty 1-d sequence")
         if not all_finite(arr):
@@ -121,14 +178,14 @@ class Series:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class _Derived:
+@dataclass(frozen=True, eq=False)
+class _Derived(_Record):
     """A sequence derived from a series, kept as a read-only float copy."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)  # always a copy of its own
+        arr = real_array(self.values, "series values")  # always a copy of its own
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -136,14 +193,14 @@ class _Derived:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccumulatedSeries(_Derived):
     """Prefix sums of a source series (same length, left-to-right summation)."""
 
     origin: Series
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanSeries(_Derived):
     """Adjacent-pair means of an accumulated series (length n-1, k = 2..n)."""
 
