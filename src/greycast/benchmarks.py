@@ -22,7 +22,28 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .errors import NON_FINITE_FORECAST, InsufficientDataError, InvalidInputError
-from .series import Series, all_finite, complex_array, whole_number, window_view
+from .series import (Series, all_finite, complex_array, real_array, real_number, whole_number,
+                     window_view)
+
+
+def _coefficients(spec, *names: str) -> None:
+    """Set each field of ``spec`` named in ``names`` to a tuple of floats;
+    ``InvalidInputError`` naming the field unless it is a sequence of real
+    numbers."""
+    for name in names:
+        values = getattr(spec, name)
+        arr = real_array(values, name)
+        if arr.ndim != 1:
+            raise InvalidInputError(f"{name} must be a sequence of real numbers, got {values!r}")
+        object.__setattr__(spec, name, tuple(arr.tolist()))
+
+
+def _real_numbers(spec, *names: str) -> None:
+    """``InvalidInputError`` naming the first field of ``spec`` in ``names``
+    that is not a real number in the float range."""
+    for name in names:
+        if not real_number(getattr(spec, name)):
+            raise InvalidInputError(f"{name} must be a real number, got {getattr(spec, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -39,12 +60,12 @@ class ArimaSpec:
     truncation: int = 50
 
     def __post_init__(self):
-        for name in ("phi", "theta", "seasonal_phi"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        if self.truncation < 20:
-            raise InvalidInputError("truncation must be at least 20")
-        if self.d < 0 or self.D < 0 or self.season_period < 1:
-            raise InvalidInputError("differencing orders / season period invalid")
+        _coefficients(self, "phi", "theta", "seasonal_phi")
+        _real_numbers(self, "mu")
+        whole_number(self.truncation, "truncation", 20, "truncation must be at least 20")
+        for name, least in (("d", 0), ("D", 0), ("season_period", 1)):
+            whole_number(getattr(self, name), name, least,
+                         "differencing orders / season period invalid")
         if self.theta:
             # Invertibility: all roots of 1 - theta_1 B - ... outside unit circle.
             poly = np.array([1.0] + [-t for t in self.theta])
@@ -52,8 +73,6 @@ class ArimaSpec:
             if roots.size and np.abs(roots).min() <= 1.0 + 1e-9:
                 raise InvalidInputError(
                     "MA polynomial not invertible (root on/inside unit circle)")
-        for name in ("d", "D", "season_period", "truncation"):
-            whole_number(getattr(self, name), name)
 
     @property
     def min_history(self) -> int:
@@ -72,15 +91,13 @@ class SetarSpec:
     delay: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "low_coeffs", tuple(float(v) for v in self.low_coeffs))
-        object.__setattr__(self, "high_coeffs", tuple(float(v) for v in self.high_coeffs))
+        _coefficients(self, "low_coeffs", "high_coeffs")
         if not self.low_coeffs or not self.high_coeffs:
             raise InvalidInputError("SETAR regimes need at least one coefficient")
+        _real_numbers(self, "low_intercept", "high_intercept", "threshold")
         if not np.isfinite(self.threshold):
             raise InvalidInputError("threshold must be finite")
-        if self.delay < 0:
-            raise InvalidInputError("delay must be >= 0")
-        whole_number(self.delay, "delay")
+        whole_number(self.delay, "delay", 0, "delay must be >= 0")
 
     @property
     def min_history(self) -> int:
@@ -96,12 +113,11 @@ class LinearSpec:
     delay: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(v) for v in self.coeffs))
+        _coefficients(self, "coeffs")
         if not self.coeffs:
             raise InvalidInputError("linear spec needs at least one coefficient")
-        if self.delay < 1:
-            raise InvalidInputError("delay must be >= 1")
-        whole_number(self.delay, "delay")
+        _real_numbers(self, "intercept")
+        whole_number(self.delay, "delay", 1, "delay must be >= 1")
 
     @property
     def min_history(self) -> int:
@@ -164,8 +180,7 @@ def psi_weights(spec: ArimaSpec, count: int, standard: bool = False) -> list:
     the legacy general ARIMA(1,1,2) term psi_i = psi_{i-1} theta_1 + theta_2
     drops the psi_{i-2} factor the standard recursion carries.
     """
-    if count < 1:
-        raise InvalidInputError("count must be >= 1")
+    whole_number(count, "count", 1, "count must be >= 1")
     if standard:
         return _psi_standard(spec, count)
     if _is_arima112_shape(spec):

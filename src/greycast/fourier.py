@@ -90,7 +90,10 @@ def _harmonic_count(n: int, harmonics: Optional[int]) -> int:
     cap = max_harmonics(n)
     if harmonics is None:
         return cap
-    count = int(harmonics)
+    try:
+        count = int(harmonics)
+    except (TypeError, ValueError, OverflowError):  # "a", 1j, nan, inf: not counts
+        count = whole_number(harmonics, "harmonic count")
     if count < 0 or count > cap:
         raise InvalidInputError(f"harmonic count {count} outside [0, {cap}]")
     return whole_number(harmonics, "harmonic count")

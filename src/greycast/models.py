@@ -599,15 +599,11 @@ def forecast_windows(fits: WindowFits, steps_ahead: int = 1) -> np.ndarray:
     fails every window.
     """
     try:
-        steps = whole_number(steps_ahead, "steps_ahead")
+        steps = whole_number(steps_ahead, "steps_ahead", 1, "steps_ahead must be >= 1")
     except InvalidInputError as exc:
         message = str(exc)
     else:
-        message = None
-        if steps < 1:
-            message = "steps_ahead must be >= 1"
-        elif steps > MAX_STEPS_AHEAD:
-            message = "steps_ahead must be <= 10**308"
+        message = "steps_ahead must be <= 10**308" if steps > MAX_STEPS_AHEAD else None
     if message is not None:
         fits.failures.add_all(lambda i: InvalidInputError(message))
         return np.full(np.size(fits.a), np.nan)

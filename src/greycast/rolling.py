@@ -51,7 +51,6 @@ history per arrival, where a roll's fixed cost is most of its cost.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -69,7 +68,7 @@ from .errors import (
 )
 from .config import load_config
 from .lstsq import SHARED_CONDITION_LIMIT
-from .metrics import rmse
+from .metrics import _rmse_of_misses
 from .fourier import (
     NON_FINITE_RESIDUALS,
     ResidualSeries,
@@ -88,7 +87,8 @@ from .models import (
     fitted_windows,
     forecast_windows,
 )
-from .series import Series, _Record, all_finite, ordered_dot, whole_number, window_view
+from .series import (Series, _Record, all_finite, ordered_dot, real_number, whole_number,
+                     window_view)
 
 #: Each benchmark model and the type of its ``benchmark_spec``.
 _BENCHMARK_SPECS = {"LINEAR": benchmarks.LinearSpec, "ARIMA": benchmarks.ArimaSpec,
@@ -138,35 +138,23 @@ class RollingConfig:
     multi_step: int = 1
 
     def __post_init__(self):
-        for name in ("window", "ef_residual_window", "ef_harmonics", "multi_step"):
-            value = getattr(self, name)
-            if value is not None or name != "ef_harmonics":
-                whole_number(value, name)
+        whole_number(self.window, "window", 4, "window must be at least 4")
+        whole_number(self.ef_residual_window, "ef_residual_window", 3,
+                     "EF residual window must be at least 3")
+        if self.ef_harmonics is not None:
+            whole_number(self.ef_harmonics, "ef_harmonics", 0, "EF harmonic cap must be >= 0")
+        whole_number(self.multi_step, "multi_step", 1, "multi_step must be >= 1")
         for name in ("ef_in_window", "clamp_nonnegative", "standard_psi"):
             # Any non-empty string is true, so "false" would switch a flag on.
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise InvalidInputError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if self.window < 4:
-            raise InvalidInputError("window must be at least 4")
-        if self.ef_residual_window < 3:
-            raise InvalidInputError("EF residual window must be at least 3")
-        if self.ef_harmonics is not None and self.ef_harmonics < 0:
-            raise InvalidInputError("EF harmonic cap must be >= 0")
-        if self.multi_step < 1:
-            raise InvalidInputError("multi_step must be >= 1")
         if self.multi_step > MAX_STEPS_AHEAD:
             raise InvalidInputError("multi_step must be <= 10**308")
-        if self.omega is not None:
+        if self.omega is not None and not real_number(self.omega):
             # A string or complex ω fails inside every trigonometric roll, and
             # True would roll at ω = 1. nan, inf and negative ω are flagged there.
-            try:
-                if isinstance(self.omega, bool) or not isinstance(self.omega, numbers.Real):
-                    raise TypeError
-                float(self.omega)  # an int past the float range overflows
-            except (TypeError, OverflowError):
-                raise InvalidInputError(
-                    f"omega must be None or a real number in the float range, "
-                    f"got {self.omega!r}") from None
+            raise InvalidInputError(
+                f"omega must be None or a real number in the float range, got {self.omega!r}")
         # A frozen config parses its model once; every roll reads the parse.
         kind, _, bench = parsed = parse_model(self.model)
         spec = self.benchmark_spec  # a grey model ignores it
@@ -731,7 +719,8 @@ def calibrate_omega(series: Series, kind: ModelKind, grid: OmegaGrid,
             trace = roll_forecast(series, replace(base, omega=float(omega)))
             if trace.fallback_flags.all():
                 continue
-            score = rmse(trace.predicted_values, trace.observed_values)
+            with np.errstate(over="ignore"):  # a huge but finite miss gives inf, silently
+                score = _rmse_of_misses(trace.predicted_values - trace.observed_values)
             if score < best_rmse - tolerance:
                 best_omega, best_rmse = float(omega), score
     if best_omega is None:

@@ -9,6 +9,7 @@ over one window's terms does not depend on the stack around it.
 """
 from __future__ import annotations
 
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -22,48 +23,65 @@ from .errors import InsufficientDataError, InvalidInputError
 _FLOAT = np.dtype(float)
 _BOOLS = (bool, np.bool_)
 _PLAIN = frozenset((float, int))
+_NESTED = (list, tuple, np.ndarray, np.generic)  # what complex_array looks inside
 
 
 def complex_array(values) -> bool:
     """Whether ``values`` holds complex numbers whose float cast would drop
-    the imaginary parts with only a warning: a complex array, or a numpy
-    complex scalar in a 1-d sequence or object array (the cast refuses a
-    Python complex itself). A float64 array is told apart by its dtype's
-    identity, which costs about 40 ns, and a list of Python numbers by the
-    types of its entries."""
+    the imaginary parts with only a warning: a complex array or numpy complex
+    scalar, or one inside a sequence or object array, at any depth of nested
+    lists, tuples and arrays (the cast refuses a Python complex itself). A
+    float64 array is told apart by its dtype's identity, which costs about
+    40 ns, and a list of Python numbers by the types of its entries."""
     dtype = getattr(values, "dtype", None)
     if dtype is _FLOAT:
         return False
     if dtype is not None and dtype.kind != "O":
         return dtype.kind == "c"
-    if (dtype is None and not isinstance(values, Sequence) or getattr(values, "ndim", 1) != 1
+    if (dtype is None and not isinstance(values, Sequence) or getattr(values, "ndim", 1) == 0
             or _PLAIN.issuperset(map(type, values))):
         return False
-    return any(isinstance(v, (np.generic, np.ndarray)) and v.ndim == 0 and v.dtype.kind == "c"
-               for v in values)
+    return any(isinstance(v, _NESTED) and complex_array(v) for v in values)
 
 
 def real_array(values, what: str) -> np.ndarray:
     """A new float array of ``values``; ``InvalidInputError`` naming ``what``
-    when they are not real numbers (a string, a complex number, a dict)."""
+    when they are not real numbers (a string, a complex number, a dict, an
+    int past the float range)."""
     if complex_array(values):
         raise InvalidInputError(f"{what} must be real numbers, not complex")
     try:
         return np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{what} must be real numbers: {exc}") from None
 
 
-def whole_number(value, name: str) -> int:
-    """``operator.index(value)``; ``InvalidInputError`` naming ``name`` for
-    anything it refuses, and for a bool: Python counts ``True`` as 1, but a
-    bool given for a count is a mistake."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+def real_number(value) -> bool:
+    """Whether ``value`` is a real number in the float range and no bool:
+    Python counts ``True`` as 1, but a bool given for a number is a mistake."""
+    if isinstance(value, _BOOLS) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)  # an int past the float range overflows
+    except (TypeError, OverflowError):
+        return False
+    return True
+
+
+def whole_number(value, name: str, least=None, below: str = "") -> int:
+    """``operator.index(value)`` for a count, checked in one order: a bool, or
+    a value that cannot be compared with ``least`` (a string, None, a complex
+    number, an array), is not an integer; a number under ``least`` gets
+    ``InvalidInputError(below)``, whole or not; and any other number that
+    ``operator.index`` refuses (2.5, inf, nan) is not an integer either."""
+    try:
+        if isinstance(value, _BOOLS) or isinstance(value, np.ndarray) and value.ndim:
+            raise TypeError  # Python counts True as 1, but a bool count is a mistake
+        if least is not None and value < least:
+            raise InvalidInputError(below)
+        return operator.index(value)
+    except (TypeError, ArithmeticError):  # ArithmeticError: Decimal("NaN") < 1
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def all_finite(arr: np.ndarray) -> bool:
